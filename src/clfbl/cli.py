@@ -44,6 +44,7 @@ from .experiments import (
     GENERATOR_ID,
     SweepRecord,
     config_digest,
+    grid_columns,
     run_case_study,
     sweep_noise,
 )
@@ -68,23 +69,15 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+#: one grid CSV row; "%.17g" formats exactly as f"{v:.17g}" does
+_GRID_ROW = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
 def _grid_rows(record: SweepRecord) -> list[str]:
+    if isinstance(record.scan, Infeasible):
+        return []
     noise = _fmt(record.noise)
-    return [
-        ",".join(
-            (
-                noise,
-                _fmt(s.n_ul),
-                _fmt(s.eps_ul),
-                _fmt(s.eps_dl),
-                _fmt(s.eps_cl),
-                _fmt(s.d_eps_cl_dn),
-                str(s.sign_d_eps_cl_dn),
-                _fmt(s.d2_eps_cl_dn2),
-            )
-        )
-        for s in record.grid
-    ]
+    return [_GRID_ROW % (noise, *row) for row in zip(*grid_columns(record.scan))]
 
 
 def _summary_row(record: SweepRecord) -> str:
@@ -120,8 +113,7 @@ def _write_outputs(
         with open(grid_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(GRID_HEADER + "\n")
             for record in records:
-                for row in _grid_rows(record):
-                    fh.write(row + "\n")
+                fh.writelines(_grid_rows(record))
         with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for record in records:

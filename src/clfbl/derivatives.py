@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
@@ -81,26 +81,52 @@ def loop_log_error(cfg: SystemConfig, n_ul: float) -> float:
 # contract.  All accept scalars or ndarrays.
 # ---------------------------------------------------------------------------
 
-def _ul_x(cfg: SystemConfig, n_ul):
-    gamma = snr_blocklength_product(cfg) / n_ul
+class _LinkColumns(NamedTuple):
+    """The quantities of :class:`LinkState` at scalars or ndarrays.
+
+    Built by plain arithmetic with no validation, so the finite-difference
+    stencils and the array scan can evaluate whole grids at once.
+    """
+
+    n: np.ndarray
+    gamma: np.ndarray
+    capacity: np.ndarray
+    dispersion: np.ndarray
+    omega: np.ndarray
+    beta: np.ndarray
+    x: np.ndarray
+
+
+def _link_columns(cfg: SystemConfig, n, gamma) -> tuple:
+    """The fields of :class:`_LinkColumns` as a plain tuple, which is
+    cheaper to build on the scalar path of the solver."""
     cap = cfg.B * np.log1p(gamma) / _LN2
     disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
-    omega = cap - cfg.d / n_ul
-    return _LN2 * omega * np.sqrt(n_ul / disp)
+    omega = cap - cfg.d / n
+    beta = np.sqrt(n / disp)
+    return n, gamma, cap, disp, omega, beta, _LN2 * omega * beta
 
 
-def _dl_x(cfg: SystemConfig, n_ul):
+def _ul_link(cfg: SystemConfig, n_ul) -> tuple:
+    return _link_columns(cfg, n_ul, snr_blocklength_product(cfg) / n_ul)
+
+
+def _dl_link(cfg: SystemConfig, n_ul) -> tuple:
     n_dl = cfg.n_max - n_ul
     if np.any(n_dl <= 0.0):
         raise ValueError(
             f"downlink blocklength must stay positive, got n_ul={n_ul!r} "
             f"with n_max={cfg.n_max!r}"
         )
-    gamma = cfg.p_dl * cfg.g_dl / cfg.N
-    cap = cfg.B * np.log1p(gamma) / _LN2
-    disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
-    omega = cap - cfg.d / n_dl
-    return _LN2 * omega * np.sqrt(n_dl / disp)
+    return _link_columns(cfg, n_dl, cfg.p_dl * cfg.g_dl / cfg.N)
+
+
+def _ul_x(cfg: SystemConfig, n_ul):
+    return _ul_link(cfg, n_ul)[-1]
+
+
+def _dl_x(cfg: SystemConfig, n_ul):
+    return _dl_link(cfg, n_ul)[-1]
 
 
 def _ul_log_eps(cfg: SystemConfig, n_ul):
@@ -132,16 +158,22 @@ def _phi(x: float) -> float:
     return -(_LN2 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * x * x)
 
 
-def _ul_slope_factor(cfg: SystemConfig, s: LinkState) -> float:
-    """beta*omega' + omega*beta' of the uplink, so that d eps = phi * factor."""
+def _ul_slope_factor(cfg: SystemConfig, s: LinkState | _LinkColumns):
+    """beta*omega' + omega*beta' of the uplink, so that d eps = phi * factor.
+
+    Pure arithmetic: broadcasts over the arrays of :class:`_LinkColumns`.
+    """
     g, n, V, b, w = s.gamma, s.n, s.dispersion, s.beta, s.omega
     omega_p = cfg.d / n**2 - cfg.B * g / (_LN2 * (1.0 + g) * n)
     beta_p = (V * (1.0 + g) ** 3 + 2.0 * g) / (2.0 * b * V**2 * (1.0 + g) ** 3)
     return b * omega_p + w * beta_p
 
 
-def _dl_slope_factor(cfg: SystemConfig, s: LinkState) -> float:
-    """beta*d/n_dl^2 + omega/(2*beta*V) of the downlink (positive bracket)."""
+def _dl_slope_factor(cfg: SystemConfig, s: LinkState | _LinkColumns):
+    """beta*d/n_dl^2 + omega/(2*beta*V) of the downlink (positive bracket).
+
+    Pure arithmetic: broadcasts over the arrays of :class:`_LinkColumns`.
+    """
     return s.beta * cfg.d / s.n**2 + s.omega / (2.0 * s.beta * s.dispersion)
 
 
@@ -217,6 +249,45 @@ def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
     return signed_log_add(
         d_eps_ul_dn_signed_log(cfg, n_ul), d_eps_dl_dn_signed_log(cfg, n_ul)
     )[0]
+
+
+def _signed_log_sum_sign(sa, la, sb, lb) -> np.ndarray:
+    """Elementwise sign of signed_log_add((sa, la), (sb, lb)).
+
+    The same case analysis, applied from the last case to the first so
+    that the earlier cases take precedence.
+    """
+    sign = np.where(la > lb, sa, sb)
+    sign = np.where(la == lb, 0, sign)
+    sign = np.where(sa == sb, sa, sign)
+    sign = np.where((sb == 0) | (lb == -math.inf), sa, sign)
+    return np.where((sa == 0) | (la == -math.inf), sb, sign)
+
+
+def _d_eps_cl_columns(
+    cfg: SystemConfig, ul: _LinkColumns, dl: _LinkColumns
+) -> tuple[np.ndarray, np.ndarray]:
+    """d eps_cl / d n_ul and its exact sign over arrays of link columns.
+
+    The array form of d_eps_cl_dn and d_eps_cl_sign: the same formulas,
+    evaluated once over the whole grid.  numpy's exp, log and power may
+    round the last bits differently from their ``math`` counterparts, so
+    the derivative can differ from the scalar path in its last digits.
+    """
+    phi = lambda x: -(_LN2 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+    ul_factor = _ul_slope_factor(cfg, ul)
+    d_eps_ul = phi(ul.x) * ul_factor
+    d_eps_dl = -phi(dl.x) * _dl_slope_factor(cfg, dl)
+
+    # phi < 0, so the uplink sign is opposite to its slope factor's
+    sign_ul = np.where(ul_factor == 0.0, 0, np.where(ul_factor > 0.0, -1, 1))
+    with np.errstate(divide="ignore"):
+        log_ul = _LOG_PHI_COEFF - 0.5 * ul.x * ul.x + np.log(np.abs(ul_factor))
+    log_bracket = np.log(cfg.d + dl.capacity * dl.n) - np.log(
+        2.0 * dl.beta * dl.dispersion * dl.n
+    )
+    log_dl = _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket
+    return d_eps_ul + d_eps_dl, _signed_log_sum_sign(sign_ul, log_ul, 1, log_dl)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +494,22 @@ _STENCIL_FLOOR = 1e-12
 def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanColumns:
     """Evaluate every scan column at the given blocklengths.
 
+    One array evaluation over all points, with no per-point Python loop:
+    error rates and their logs from the decoding arguments, the
+    convexity indicator from Richardson differences of log eps_cl, and
+    d eps_cl/d n_ul with its exact log-space sign from
+    ``_d_eps_cl_columns``.  That sign equals :func:`d_eps_cl_sign` at
+    every point; the derivative agrees with :func:`d_eps_cl_dn` up to the
+    last bits that numpy's exp, log and power round differently.
+
     The same code path serves full-grid scans and single-point CSV
     round-trip checks, so recomputed values are bit-identical.
     """
     grid = np.asarray(points, dtype=float)
-    x_ul = np.asarray(_ul_x(cfg, grid), dtype=float)
-    x_dl = np.asarray(_dl_x(cfg, grid), dtype=float)
+    ul = _LinkColumns(*_ul_link(cfg, grid))
+    dl = _LinkColumns(*_dl_link(cfg, grid))
+    x_ul = np.asarray(ul.x, dtype=float)
+    x_dl = np.asarray(dl.x, dtype=float)
     log_ul = np.asarray(_log_ndtr(-x_ul), dtype=float)
     log_dl = np.asarray(_log_ndtr(-x_dl), dtype=float)
     log_cl = np.logaddexp(log_ul, log_dl)
@@ -451,11 +532,7 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanColumns:
     stencil = np.stack([f_m2, f_m1, log_cl, f_p1, f_p2])
     saturated = (stencil.max(axis=0) - stencil.min(axis=0)) < _STENCIL_FLOOR
 
-    d_eps_cl = np.empty_like(grid)
-    signs = np.empty(grid.shape, dtype=int)
-    for i, n in enumerate(grid):
-        d_eps_cl[i] = d_eps_cl_dn(cfg, float(n))
-        signs[i] = d_eps_cl_sign(cfg, float(n))
+    d_eps_cl, signs = _d_eps_cl_columns(cfg, ul, dl)
 
     return ScanColumns(
         n_ul=grid,

@@ -20,6 +20,7 @@ import numpy as np
 from .fbl import SystemConfig
 from .energy import DomainBounds, Infeasible, feasible_domain
 from .derivatives import (
+    ScanColumns,
     ScanReport,
     convexity_scan,
     dl_state,
@@ -46,6 +47,23 @@ class GridSample:
     d2_eps_cl_dn2: float
 
 
+def grid_columns(cols: ScanReport | ScanColumns) -> list[list]:
+    """The scan's columns as Python lists, in the field order of GridSample."""
+    return [
+        cols.n_ul.tolist(),
+        cols.eps_ul.tolist(),
+        cols.eps_dl.tolist(),
+        cols.eps_cl.tolist(),
+        cols.d_eps_cl.tolist(),
+        cols.sign_d_eps_cl.tolist(),
+        cols.d2_eps_cl.tolist(),
+    ]
+
+
+def _samples(cols: ScanReport | ScanColumns) -> tuple[GridSample, ...]:
+    return tuple(GridSample(*row) for row in zip(*grid_columns(cols)))
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """Everything recorded for one noise level of a sweep."""
@@ -53,8 +71,12 @@ class SweepRecord:
     noise: float
     domain: DomainBounds
     result: SolveResult | Infeasible
-    grid: tuple[GridSample, ...]
     scan: ScanReport | Infeasible
+
+    @property
+    def grid(self) -> tuple[GridSample, ...]:
+        """The scan as one GridSample per grid point; empty if infeasible."""
+        return () if isinstance(self.scan, Infeasible) else _samples(self.scan)
 
 
 def grid_sample(cfg: SystemConfig, n_ul: float) -> GridSample:
@@ -63,16 +85,7 @@ def grid_sample(cfg: SystemConfig, n_ul: float) -> GridSample:
     Shares the scan's code path exactly, so a value parsed back from a
     CSV and recomputed here is bit-identical.
     """
-    cols = scan_columns(cfg, np.asarray([n_ul], dtype=float))
-    return GridSample(
-        n_ul=float(cols.n_ul[0]),
-        eps_ul=float(cols.eps_ul[0]),
-        eps_dl=float(cols.eps_dl[0]),
-        eps_cl=float(cols.eps_cl[0]),
-        d_eps_cl_dn=float(cols.d_eps_cl[0]),
-        sign_d_eps_cl_dn=int(cols.sign_d_eps_cl[0]),
-        d2_eps_cl_dn2=float(cols.d2_eps_cl[0]),
-    )
+    return _samples(scan_columns(cfg, np.asarray([n_ul], dtype=float)))[0]
 
 
 def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
@@ -80,20 +93,8 @@ def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
     dom = feasible_domain(cfg)
     scan = convexity_scan(cfg, grid_points)
     if isinstance(scan, Infeasible):
-        return SweepRecord(cfg.N, dom, scan, (), scan)
-    grid = tuple(
-        GridSample(
-            n_ul=float(scan.n_ul[i]),
-            eps_ul=float(scan.eps_ul[i]),
-            eps_dl=float(scan.eps_dl[i]),
-            eps_cl=float(scan.eps_cl[i]),
-            d_eps_cl_dn=float(scan.d_eps_cl[i]),
-            sign_d_eps_cl_dn=int(scan.sign_d_eps_cl[i]),
-            d2_eps_cl_dn2=float(scan.d2_eps_cl[i]),
-        )
-        for i in range(len(scan.n_ul))
-    )
-    return SweepRecord(cfg.N, dom, solve(cfg), grid, scan)
+        return SweepRecord(cfg.N, dom, scan, scan)
+    return SweepRecord(cfg.N, dom, solve(cfg), scan)
 
 
 def run_case_study(cfg: SystemConfig, grid_points: int = 500) -> SweepRecord:

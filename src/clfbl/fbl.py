@@ -19,7 +19,7 @@ matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
@@ -108,6 +108,10 @@ class SystemConfig:
     T: float | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.d < 1.0:
             raise ValueError(f"payload must be at least 1 bit, got {self.d!r}")
         if self.n_max < 2.0 * self.d:

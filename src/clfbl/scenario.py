@@ -18,6 +18,7 @@ since sweeps span the noise range themselves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .fbl import SystemConfig
@@ -112,11 +113,17 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                 ) from exc
         else:
             try:
-                values[key] = float(value)
+                number = float(value)
             except ValueError as exc:
                 raise ScenarioError(
                     f"{source}:{lineno}: key {key!r} needs a number, got {value!r}"
                 ) from exc
+            if not math.isfinite(number):
+                raise ScenarioError(
+                    f"{source}:{lineno}: key {key!r} needs a finite number, "
+                    f"got {value!r}"
+                )
+            values[key] = number
     return Scenario(values=values, run=RunParams(**run_kwargs))
 
 

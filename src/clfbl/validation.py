@@ -17,7 +17,7 @@ from . import derivatives as da
 from .fbl import SystemConfig
 from .energy import Infeasible, feasible_domain
 from .experiments import monte_carlo_validate
-from .optimizer import grid_search_oracle, solve
+from .optimizer import SolveResult, grid_search_oracle, solve
 
 #: analytic-vs-FD comparisons only make sense while eps is far from
 #: saturating; past this decoding argument the relative error of a
@@ -88,7 +88,7 @@ def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> Suit
     )
 
 
-def convexity_suite(cfg: SystemConfig, grid_points: int = 200) -> SuiteResult:
+def convexity_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
     """Structural properties the optimizer relies on, over the domain grid.
 
     Fails on any loss of eps_cl convexity or of the strict downlink
@@ -97,7 +97,6 @@ def convexity_suite(cfg: SystemConfig, grid_points: int = 200) -> SuiteResult:
     0 dB bound for large enough eta, and the solver only needs convexity
     of the sum.
     """
-    scan = da.convexity_scan(cfg, grid_points)
     if isinstance(scan, Infeasible):
         return SuiteResult("convexity_scan", "skipped", f"infeasible: {scan.reason}")
     if scan.convex_ok and scan.dl_monotone_ok:
@@ -124,9 +123,8 @@ def convexity_suite(cfg: SystemConfig, grid_points: int = 200) -> SuiteResult:
     )
 
 
-def optimizer_suite(cfg: SystemConfig) -> SuiteResult:
+def optimizer_suite(cfg: SystemConfig, result: SolveResult | Infeasible) -> SuiteResult:
     """Bisection solver vs exhaustive integer search (ties by objective)."""
-    result = solve(cfg)
     oracle = grid_search_oracle(cfg)
     if isinstance(result, Infeasible) or isinstance(oracle, Infeasible):
         reason = result.reason if isinstance(result, Infeasible) else oracle.reason
@@ -150,9 +148,10 @@ def optimizer_suite(cfg: SystemConfig) -> SuiteResult:
     )
 
 
-def monte_carlo_suite(cfg: SystemConfig, trials: int, seed: int) -> SuiteResult:
+def monte_carlo_suite(
+    cfg: SystemConfig, result: SolveResult | Infeasible, trials: int, seed: int
+) -> SuiteResult:
     """Analytic loop reliability inside the simulated confidence interval."""
-    result = solve(cfg)
     if isinstance(result, Infeasible):
         return SuiteResult("monte_carlo", "skipped", f"infeasible: {result.reason}")
     mc = monte_carlo_validate(cfg, result.n_ul, trials, seed)
@@ -165,24 +164,25 @@ def monte_carlo_suite(cfg: SystemConfig, trials: int, seed: int) -> SuiteResult:
     )
 
 
-def approximation_gap_suite(cfg: SystemConfig, grid_points: int = 200) -> SuiteResult:
+def approximation_gap_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
     """Additive-error audit: 1 - (1-a)(1-b) - (a+b) = -a*b up to rounding,
     and a*b negligible against a+b in the operating region."""
-    scan = da.convexity_scan(cfg, grid_points)
     if isinstance(scan, Infeasible):
         return SuiteResult("approximation_gap", "skipped", f"infeasible: {scan.reason}")
-    worst = 0.0
-    for a, b in zip(scan.eps_ul, scan.eps_dl):
-        a, b = float(a), float(b)
-        r_loop = (1.0 - a) * (1.0 - b)
-        residual = abs((1.0 - r_loop) - (a + b) + a * b)
-        worst = max(worst, residual / max(1.0, 1.0 - r_loop, a + b))
-        eps_cl = a + b
-        if eps_cl < 0.1 and a * b > 1e-2 * eps_cl:
-            return SuiteResult(
-                "approximation_gap", "fail",
-                f"eps_ul*eps_dl={a * b:.3e} not small against eps_cl={eps_cl:.3e}",
-            )
+    a, b = scan.eps_ul, scan.eps_dl
+    eps_cl = a + b
+    r_loop = (1.0 - a) * (1.0 - b)
+    product = a * b
+    dominant = np.flatnonzero((eps_cl < 0.1) & (product > 1e-2 * eps_cl))
+    if dominant.size:
+        i = dominant[0]
+        return SuiteResult(
+            "approximation_gap", "fail",
+            f"eps_ul*eps_dl={product[i]:.3e} not small against eps_cl={eps_cl[i]:.3e}",
+        )
+    residual = np.abs((1.0 - r_loop) - eps_cl + product)
+    scale = np.maximum(np.maximum(1.0, 1.0 - r_loop), eps_cl)
+    worst = float(np.max(residual / scale))
     status = "pass" if worst <= 1e-15 else "fail"
     return SuiteResult(
         "approximation_gap", status,
@@ -194,14 +194,20 @@ def run_validation(
     cfg: SystemConfig, trials: int = 1_000_000, seed: int = 0,
     grid_points: int = 200,
 ) -> list[SuiteResult]:
-    """Run every suite; an empty domain skips them all."""
+    """Run every suite; an empty domain skips them all.
+
+    The scan and the solve are computed once and shared by the suites
+    that read them.
+    """
     dom = feasible_domain(cfg)
     if dom.empty:
         return _skip_all("empty blocklength domain")
+    scan = da.convexity_scan(cfg, grid_points)
+    result = solve(cfg)
     return [
         derivative_fidelity_suite(cfg),
-        convexity_suite(cfg, grid_points),
-        optimizer_suite(cfg),
-        monte_carlo_suite(cfg, trials, seed),
-        approximation_gap_suite(cfg, grid_points),
+        convexity_suite(scan),
+        optimizer_suite(cfg, result),
+        monte_carlo_suite(cfg, result, trials, seed),
+        approximation_gap_suite(scan),
     ]

@@ -1,5 +1,6 @@
 """Analytic derivatives vs finite-difference oracles, and the scan."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,14 +18,20 @@ from clfbl import (
     fd_derivative,
     feasible_domain,
     loop_log_error,
+    OptimizerCase,
+    noise_grid,
+    solve,
+    sweep_noise,
 )
 from clfbl.energy import Infeasible, snr_blocklength_product
 from clfbl.derivatives import (
     _dl_eps,
+    _signed_log_sum_sign,
     _ul_eps,
     d_eps_dl_dn_signed_log,
     d_eps_ul_dn_signed_log,
     dl_state,
+    scan_columns,
     signed_log_add,
     ul_state,
 )
@@ -148,6 +155,30 @@ class TestDownlinkDerivative:
             d_eps_dl_dn(table1, table1.n_max - table1.d + 0.5)
 
 
+    def test_matches_fd_on_short_frames_across_sweep(self, table1):
+        # at the table1 frame every sweep level has |x_dl| > 8, so the
+        # acceptance sweep never compares the downlink derivative with
+        # finite differences; frames of 60-150 bits bring x_dl down to the
+        # well-conditioned range.  Same rule as acceptance criterion 4.
+        checked = 0
+        worst = 0.0
+        for n_max in (60.0, 100.0, 150.0):
+            for noise in noise_grid(table1.p_dl, 50):
+                cfg = dataclasses.replace(table1, n_max=n_max, N=float(noise))
+                dom = feasible_domain(cfg)
+                for n in np.linspace(dom.n_lo, dom.n_hi, 50).tolist():
+                    if abs(dl_state(cfg, n).x) > 8.0:
+                        continue
+                    h = min(max(1e-4, 1e-3 * n), (cfg.n_max - n) / 4.0)
+                    fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1, h=h)
+                    analytic = d_eps_dl_dn(cfg, n)
+                    assert analytic > 0.0
+                    worst = max(worst, abs(analytic - fd) / max(1.0, abs(fd)))
+                    checked += 1
+        assert checked > 0
+        assert worst <= 1e-6
+
+
 class TestSignedLogs:
     def test_ul_signed_log_matches_double_value(self, table1):
         for n in (12.0, 20.0, 35.0, 50.0):
@@ -166,6 +197,14 @@ class TestSignedLogs:
         assert signed_log_add((0, -math.inf), b) == b
         sign, log_mag = signed_log_add(a, (1, math.log(2.0)))
         assert sign == 1 and math.exp(log_mag) == pytest.approx(5.0, rel=1e-12)
+
+    def test_array_sign_matches_signed_log_add(self):
+        # every combination of signs and of equal, ordered and -inf logs
+        values = [(s, l) for s in (-1, 0, 1) for l in (-math.inf, -1.0, 2.0)]
+        pairs = [(a, b) for a in values for b in values]
+        sa, la, sb, lb = map(np.array, zip(*((*a, *b) for a, b in pairs)))
+        signs = _signed_log_sum_sign(sa, la, sb, lb)
+        assert signs.tolist() == [signed_log_add(a, b)[0] for a, b in pairs]
 
     def test_cl_sign_underflow_robust(self):
         # deep underflow of both links: the sign is still decided exactly
@@ -240,6 +279,69 @@ class TestConvexityScan:
     def test_rejects_bad_resolution(self, table1):
         with pytest.raises(ValueError):
             convexity_scan(table1, 0)
+
+
+#: relative offsets from the interior root at which the derivative's
+#: two terms nearly cancel, so that the sign turns on their log magnitudes
+ROOT_OFFSETS = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
+
+
+class TestScanParity:
+    """The array derivative of scan_columns against the scalar functions:
+    the same sign at every point, the same value up to last-bit rounding."""
+
+    @staticmethod
+    def _assert_parity(cfg, grid) -> tuple[int, int]:
+        """Sign and value parity on the grid, sign parity next to the root;
+        returns how many points of each kind were checked."""
+        cols = scan_columns(cfg, grid)
+        for i, n in enumerate(grid.tolist()):
+            assert cols.sign_d_eps_cl[i] == d_eps_cl_sign(cfg, n), (cfg, n)
+            scalar = d_eps_cl_dn(cfg, n)
+            assert abs(cols.d_eps_cl[i] - scalar) <= 1e-9 * abs(scalar), (cfg, n)
+        result = solve(cfg)
+        if getattr(result, "case", None) is not OptimizerCase.INTERIOR_ROOT:
+            return len(grid), 0
+        near = np.clip(result.n_ul_cont * (1.0 + ROOT_OFFSETS), grid[0], grid[-1])
+        signs = scan_columns(cfg, near).sign_d_eps_cl
+        assert signs.tolist() == [d_eps_cl_sign(cfg, n) for n in near.tolist()], cfg
+        return len(grid), len(near)
+
+    def test_table1_sweep(self, table1):
+        points = near_root = 0
+        for record in sweep_noise(table1, 50, 200):
+            cfg = dataclasses.replace(table1, N=record.noise)
+            on_grid, near = self._assert_parity(cfg, record.scan.n_ul)
+            points += on_grid
+            near_root += near
+        assert points == 50 * 200
+        assert near_root > 0
+
+    def test_random_configurations(self):
+        rng = np.random.default_rng(20261018)
+        configs = weak_downlink = near_root = 0
+        while configs < 60:
+            try:
+                cfg = SystemConfig(
+                    d=float(rng.integers(8, 65)),
+                    f_s=250e3,
+                    M=float(rng.integers(1, 4)),
+                    E=10.0 ** rng.uniform(-8, -5),
+                    p_dl=10.0 ** rng.uniform(-5, 0),
+                    N=10.0 ** rng.uniform(-6, -1),
+                    n_max=float(rng.integers(100, 50_001)),
+                )
+            except ValueError:
+                continue
+            dom = feasible_domain(cfg)
+            if dom.empty:
+                continue
+            configs += 1
+            weak_downlink += cfg.p_dl < cfg.N
+            _, near = self._assert_parity(cfg, np.linspace(dom.n_lo, dom.n_hi, 200))
+            near_root += near
+        assert weak_downlink > 0
+        assert near_root > 0
 
 
 class TestLoopLogError:

@@ -1,5 +1,8 @@
 """Case study, sweeps, and oracle machinery."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from clfbl import (
@@ -14,6 +17,7 @@ from clfbl import (
 )
 from clfbl.energy import Infeasible
 from clfbl.experiments import GENERATOR_ID, config_digest, grid_sample
+from clfbl.validation import approximation_gap_suite
 
 from conftest import make_config
 
@@ -145,6 +149,32 @@ class TestApproximationAudit:
                 assert residual <= 1e-15 * max(1.0, s.eps_cl, 1.0 - r_loop)
                 if s.eps_cl < 0.1:
                     assert s.eps_ul * s.eps_dl <= 1e-2 * s.eps_cl
+
+
+    def test_suite_worst_residual_matches_scalar_loop(self, table1):
+        record = sweep_noise(table1, 50, grid_points=200)[40]
+        worst = 0.0
+        for s in record.grid:
+            r_loop = (1.0 - s.eps_ul) * (1.0 - s.eps_dl)
+            residual = abs((1.0 - r_loop) - (s.eps_ul + s.eps_dl) + s.eps_ul * s.eps_dl)
+            worst = max(worst, residual / max(1.0, 1.0 - r_loop, s.eps_ul + s.eps_dl))
+        result = approximation_gap_suite(record.scan)
+        assert result.status == "pass"
+        assert result.detail == (
+            f"worst identity residual {worst:.3e} (tolerance 1e-15)"
+        )
+
+    def test_suite_reports_first_dominant_product(self):
+        # points 1 and 2 both have eps_ul*eps_dl > 1e-2*eps_cl < 0.1
+        scan = SimpleNamespace(
+            eps_ul=np.array([1e-3, 0.04, 0.03]),
+            eps_dl=np.array([1e-9, 0.04, 0.03]),
+        )
+        result = approximation_gap_suite(scan)
+        assert result.status == "fail"
+        assert result.detail == (
+            "eps_ul*eps_dl=1.600e-03 not small against eps_cl=8.000e-02"
+        )
 
 
 class TestGridSample:

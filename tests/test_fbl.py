@@ -246,3 +246,14 @@ class TestSystemConfig:
     def test_invariant_violations(self, overrides):
         with pytest.raises(ValueError):
             make_config(**overrides)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key",
+        ["d", "f_s", "M", "E", "p_dl", "N", "n_max", "g_ul", "g_dl", "B",
+         "eps_max", "T"],
+    )
+    def test_non_finite_value_named(self, key, bad):
+        # NaN passes every "<= 0" check, so finiteness is checked first
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            make_config(**{key: bad})

@@ -15,7 +15,7 @@ from clfbl.cli import (
     SUMMARY_HEADER,
     main,
 )
-from clfbl.experiments import grid_sample
+from clfbl.experiments import GridSample, grid_sample
 from clfbl.scenario import (
     ScenarioError,
     TABLE1_VALUES,
@@ -23,6 +23,8 @@ from clfbl.scenario import (
     parse_scenario,
 )
 
+FLOAT_KEYS = ("d", "f_s", "M", "E", "p_dl", "N", "n_max", "T", "g_ul", "g_dl",
+              "B", "eps_max")
 
 
 class TestScenarioParsing:
@@ -55,6 +57,12 @@ class TestScenarioParsing:
     def test_bad_number_reported(self):
         with pytest.raises(ScenarioError, match="needs a number"):
             parse_scenario("d = eight")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_non_finite_value_named(self, key, bad):
+        with pytest.raises(ScenarioError, match=f"key '{key}' needs a finite number"):
+            parse_scenario(f"{key} = {bad}")
 
     def test_bad_line_reported(self):
         with pytest.raises(ScenarioError, match="key = value"):
@@ -105,6 +113,21 @@ class TestSolveCommand:
         code = main(["solve", str(path)])
         assert code == EXIT_USAGE
         assert "E" in capsys.readouterr().err
+
+    def test_nan_energy_names_key(self, tmp_path, capsys):
+        path = tmp_path / "nan.scn"
+        values = dict(TABLE1_VALUES, E=float("nan"))
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        code = main(["solve", str(path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "key 'E' needs a finite number" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_option_named(self, bad, capsys):
+        code = main(["solve", "table1", f"--noise={bad}"])
+        assert code == EXIT_USAGE
+        assert "N must be finite" in capsys.readouterr().err
 
     def test_high_noise_needs_flag(self, capsys):
         code = main(["solve", "table1", "--noise", "0.02"])
@@ -168,30 +191,35 @@ class TestCsvOutputs:
         assert keys == sorted(keys)
 
     def test_rerun_byte_identical(self, tmp_path):
+        # the full table1 sweep, 50 noise levels x 200 grid points
         for sub in ("a", "b"):
-            main([
-                "sweep", "table1", "--out-dir", str(tmp_path / sub),
-                "--sweep-points", "4", "--grid-points", "8",
-            ])
+            assert main(["sweep", "table1", "--out-dir", str(tmp_path / sub)]) == EXIT_OK
         for name in ("sweep_grid.csv", "sweep_summary.csv", "sweep_meta.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
 
     def test_round_trip_recompute(self, tmp_path, table1):
+        # every column of every row, parsed back, equals the recomputed
+        # grid sample bit for bit
         main([
             "sweep", "table1", "--out-dir", str(tmp_path),
-            "--sweep-points", "3", "--grid-points", "7",
+            "--sweep-points", "6", "--grid-points", "25",
         ])
         lines = (tmp_path / "sweep_grid.csv").read_text().splitlines()[1:]
-        for line in lines[:: max(1, len(lines) // 8)]:
+        assert len(lines) == 6 * 25
+        bits = lambda sample: tuple(
+            v if isinstance(v, int) else float.hex(v)
+            for v in dataclasses.astuple(sample)
+        )
+        for line in lines:
             fields = line.split(",")
-            noise, n_ul, eps_cl = (
-                float(fields[0]), float(fields[1]), float(fields[4])
+            noise = float(fields[0])
+            parsed = GridSample(
+                *map(float, fields[1:6]), int(fields[6]), float(fields[7])
             )
             cfg = dataclasses.replace(table1, N=noise)
-            recomputed = grid_sample(cfg, n_ul).eps_cl
-            assert recomputed == pytest.approx(eps_cl, rel=1e-15, abs=0.0)
+            assert bits(parsed) == bits(grid_sample(cfg, parsed.n_ul)), line
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
