@@ -20,6 +20,10 @@ path: |phi| is carried as log(ln2/sqrt(2*pi)) - x^2/2, which stays
 finite for any x, and second-derivative positivity of f = exp(g) is
 decided via the identity sign(f'') = sign(g'' + g'^2) with g = log eps
 evaluated by finite differences.
+
+The solver's bisection kernel (``d_eps_cl_sign`` and its two signed-log
+terms) is plain float arithmetic on the formulas LinkState is built from,
+with no LinkState and no erfc per call; the slope factors are shared.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
-from .fbl import LinkState, SystemConfig, capacity
+from .fbl import LinkState, SystemConfig, _link_quantities, capacity
 from .energy import (
     Infeasible,
     feasible_domain,
@@ -158,23 +162,19 @@ def _phi(x: float) -> float:
     return -(_LN2 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * x * x)
 
 
-def _ul_slope_factor(cfg: SystemConfig, s: LinkState | _LinkColumns):
+def _ul_slope_factor(cfg: SystemConfig, n, g, V, b, w):
     """beta*omega' + omega*beta' of the uplink, so that d eps = phi * factor.
 
-    Pure arithmetic: broadcasts over the arrays of :class:`_LinkColumns`.
+    Takes n, gamma, V, beta and omega as plain floats or arrays.
     """
-    g, n, V, b, w = s.gamma, s.n, s.dispersion, s.beta, s.omega
     omega_p = cfg.d / n**2 - cfg.B * g / (_LN2 * (1.0 + g) * n)
     beta_p = (V * (1.0 + g) ** 3 + 2.0 * g) / (2.0 * b * V**2 * (1.0 + g) ** 3)
     return b * omega_p + w * beta_p
 
 
-def _dl_slope_factor(cfg: SystemConfig, s: LinkState | _LinkColumns):
-    """beta*d/n_dl^2 + omega/(2*beta*V) of the downlink (positive bracket).
-
-    Pure arithmetic: broadcasts over the arrays of :class:`_LinkColumns`.
-    """
-    return s.beta * cfg.d / s.n**2 + s.omega / (2.0 * s.beta * s.dispersion)
+def _dl_slope_factor(cfg: SystemConfig, n, V, b, w):
+    """beta*d/n_dl^2 + omega/(2*beta*V) of the downlink (positive bracket)."""
+    return b * cfg.d / n**2 + w / (2.0 * b * V)
 
 
 def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
@@ -186,13 +186,13 @@ def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
     -(4*ln2*d + n*(8*ln2 - 6)).
     """
     s = ul_state(cfg, n_ul)
-    return _phi(s.x) * _ul_slope_factor(cfg, s)
+    return _phi(s.x) * _ul_slope_factor(cfg, s.n, s.gamma, s.dispersion, s.beta, s.omega)
 
 
 def d_eps_dl_dn(cfg: SystemConfig, n_ul: float) -> float:
     """Analytic d eps_dl / d n_ul; strictly positive for any gamma_dl > 0."""
     s = dl_state(cfg, n_ul)
-    return -_phi(s.x) * _dl_slope_factor(cfg, s)
+    return -_phi(s.x) * _dl_slope_factor(cfg, s.n, s.dispersion, s.beta, s.omega)
 
 
 def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
@@ -206,12 +206,15 @@ def d_eps_ul_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
     phi is strictly negative in exact arithmetic, so the sign is carried
     by the slope factor alone and the magnitude by its log.
     """
-    s = ul_state(cfg, n_ul)
-    factor = _ul_slope_factor(cfg, s)
+    if not n_ul >= cfg.d:
+        raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
+    gamma = snr_blocklength_product(cfg) / n_ul
+    _, V, w, b, x = _link_quantities(n_ul, gamma, cfg.d, cfg.B)
+    factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
     if factor == 0.0:
         return (0, -math.inf)
     sign = -1 if factor > 0.0 else 1
-    return (sign, _LOG_PHI_COEFF - 0.5 * s.x * s.x + math.log(abs(factor)))
+    return (sign, _LOG_PHI_COEFF - 0.5 * x * x + math.log(abs(factor)))
 
 
 def d_eps_dl_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
@@ -220,11 +223,12 @@ def d_eps_dl_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
     The bracket simplifies to (d + C*n_dl) / (2*beta*V*n_dl), manifestly
     positive, which is the form used for the log magnitude.
     """
-    s = dl_state(cfg, n_ul)
-    log_bracket = math.log(cfg.d + s.capacity * s.n) - math.log(
-        2.0 * s.beta * s.dispersion * s.n
-    )
-    return (1, _LOG_PHI_COEFF - 0.5 * s.x * s.x + log_bracket)
+    n_dl = cfg.n_max - n_ul
+    if not n_dl >= cfg.d:
+        raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
+    cap, V, w, b, x = _link_quantities(n_dl, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
+    log_bracket = math.log(cfg.d + cap * n_dl) - math.log(2.0 * b * V * n_dl)
+    return (1, _LOG_PHI_COEFF - 0.5 * x * x + log_bracket)
 
 
 def signed_log_add(a: SignedLog, b: SignedLog) -> SignedLog:
@@ -245,7 +249,8 @@ def signed_log_add(a: SignedLog, b: SignedLog) -> SignedLog:
 
 
 def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
-    """Sign of d eps_cl / d n_ul, robust to underflow of either term."""
+    """Sign of d eps_cl / d n_ul, robust to underflow of either term; the
+    solver's bisection kernel, in plain floats with no LinkState or erfc."""
     return signed_log_add(
         d_eps_ul_dn_signed_log(cfg, n_ul), d_eps_dl_dn_signed_log(cfg, n_ul)
     )[0]
@@ -275,9 +280,9 @@ def _d_eps_cl_columns(
     the derivative can differ from the scalar path in its last digits.
     """
     phi = lambda x: -(_LN2 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
-    ul_factor = _ul_slope_factor(cfg, ul)
+    ul_factor = _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
     d_eps_ul = phi(ul.x) * ul_factor
-    d_eps_dl = -phi(dl.x) * _dl_slope_factor(cfg, dl)
+    d_eps_dl = -phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
 
     # phi < 0, so the uplink sign is opposite to its slope factor's
     sign_ul = np.where(ul_factor == 0.0, 0, np.where(ul_factor > 0.0, -1, 1))
@@ -369,8 +374,8 @@ def derivative_bundle(cfg: SystemConfig, n_ul: float) -> DerivativeBundle:
         * n_ul
         * (1.0 + ul.gamma) ** 3
     )
-    d_ul = phi_ul * _ul_slope_factor(cfg, ul)
-    d_dl = -_phi(dl.x) * _dl_slope_factor(cfg, dl)
+    d_ul = phi_ul * _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
+    d_dl = -_phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
     d2_fd = fd_derivative(lambda n: float(_ul_eps(cfg, n) + _dl_eps(cfg, n)), n_ul, 2)
     return DerivativeBundle(
         n_ul=n_ul,

@@ -73,6 +73,16 @@ def dispersion(gamma: float) -> float:
     return 1.0 - 1.0 / (1.0 + gamma) ** 2
 
 
+def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float, ...]:
+    """(capacity, dispersion, omega, beta, x) of one link in plain floats: the
+    formulas of :class:`LinkState` without its checks (n >= d >= 1, gamma > 0)."""
+    cap = B * math.log1p(gamma) / _LN2
+    disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
+    omega = cap - d / n
+    beta = math.sqrt(n / disp)
+    return cap, disp, omega, beta, _LN2 * omega * beta
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Exogenous scenario parameters of one closed-loop link budget.
@@ -175,11 +185,7 @@ class LinkState:
                 "degenerate channel: zero dispersion at gamma <= 0 leaves the "
                 f"error model undefined (gamma={gamma!r})"
             )
-        cap = capacity(gamma, B)
-        disp = dispersion(gamma)
-        omega = cap - d / n
-        beta = math.sqrt(n / disp)
-        x = _LN2 * omega * beta
+        cap, disp, omega, beta, x = _link_quantities(n, gamma, d, B)
         return cls(
             n=n, gamma=gamma, capacity=cap, dispersion=disp,
             omega=omega, beta=beta, x=x, eps=q_function(x), p=p,

@@ -5,10 +5,10 @@ domain whenever the downlink stays above its capacity threshold
 (x_dl > 0 throughout), so the continuous optimum follows from the sign
 of its first derivative g at the bounds: left bound if g(n_lo) >= 0,
 right bound if g(n_hi) <= 0, otherwise the unique interior root of g,
-found by bisection.  The integer allocation is the better of the two
-neighbors of the continuous optimum, cross-checked against the boundary
-integers, and per-direction error-rate caps are checked afterwards
-without altering the choice.
+found by bisection on the plain-float ``d_eps_cl_sign``.  The integer
+allocation is the best of the two neighbors of the continuous optimum and
+the two boundary integers, from one array evaluation of the loop error;
+per-direction error-rate caps are checked afterwards without altering it.
 
 With a downlink weak enough that eps_dl crosses 0.5 inside the domain,
 eps_cl is provably non-convex (the Q tail turns concave); g can then be
@@ -35,7 +35,6 @@ from .derivatives import (
     _cl_log_eps,
     d_eps_cl_sign,
     dl_state,
-    loop_log_error,
     ul_state,
 )
 
@@ -139,6 +138,29 @@ def optimize_continuous(
     )
 
 
+def _integer_range(dom: DomainBounds) -> tuple[int, int] | Infeasible:
+    """[ceil(n_lo), floor(n_hi)], or Infeasible when it holds no integer."""
+    if dom.empty:
+        return Infeasible("empty blocklength domain", dom)
+    lo, hi = math.ceil(dom.n_lo), math.floor(dom.n_hi)
+    if lo > hi:
+        return Infeasible(f"no integer blocklength in [{dom.n_lo!r}, {dom.n_hi!r}]", dom)
+    return lo, hi
+
+
+def _neighbours(n_ul_cont: float, lo: int, hi: int) -> set[int]:
+    """floor and ceil of n_ul_cont, clamped into [lo, hi]."""
+    return {min(max(math.floor(n_ul_cont), lo), hi), min(max(math.ceil(n_ul_cont), lo), hi)}
+
+
+def _best_integer(cfg: SystemConfig, candidates: set[int]) -> int:
+    """The candidate minimizing (log eps_cl, n) in one array evaluation, which
+    gives the same bits as ``loop_log_error`` at each element."""
+    ns = sorted(candidates)
+    values = _cl_log_eps(cfg, np.array(ns, dtype=float)).tolist()
+    return min(zip(values, ns))[1]
+
+
 def refine_integer(
     cfg: SystemConfig, n_ul_cont: float, domain: DomainBounds | None = None
 ) -> int | Infeasible:
@@ -148,22 +170,10 @@ def refine_integer(
     the convexity preconditions stay intact; ties break toward the
     smaller blocklength.
     """
-    dom = feasible_domain(cfg) if domain is None else domain
-    if dom.empty:
-        return Infeasible("empty blocklength domain", dom)
-    lo_int = math.ceil(dom.n_lo)
-    hi_int = math.floor(dom.n_hi)
-    if lo_int > hi_int:
-        return Infeasible(
-            f"no integer blocklength in [{dom.n_lo!r}, {dom.n_hi!r}]", dom
-        )
-    candidates = sorted(
-        {
-            min(max(math.floor(n_ul_cont), lo_int), hi_int),
-            min(max(math.ceil(n_ul_cont), lo_int), hi_int),
-        }
-    )
-    return min(candidates, key=lambda n: (loop_log_error(cfg, n), n))
+    bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
+    if isinstance(bounds, Infeasible):
+        return bounds
+    return _best_integer(cfg, _neighbours(n_ul_cont, *bounds))
 
 
 def grid_search_oracle(
@@ -175,13 +185,10 @@ def grid_search_oracle(
     values still order correctly) and returns the smallest argmin.
     Runtime is linear in the domain width.
     """
-    dom = feasible_domain(cfg) if domain is None else domain
-    if dom.empty:
-        return Infeasible("empty blocklength domain", dom)
-    lo = math.ceil(dom.n_lo)
-    hi = math.floor(dom.n_hi)
-    if lo > hi:
-        return Infeasible(f"no integer blocklength in [{dom.n_lo!r}, {dom.n_hi!r}]", dom)
+    bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
+    if isinstance(bounds, Infeasible):
+        return bounds
+    lo, hi = bounds
     candidates = np.arange(lo, hi + 1, dtype=float)
     values = _cl_log_eps(cfg, candidates)
     return lo + int(np.argmin(values))  # argmin keeps the first (smallest) tie
@@ -211,28 +218,23 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     returned allocation; it only clears the ``feasible`` flag.
     """
     dom = feasible_domain(cfg)
-    if dom.empty:
-        return Infeasible("empty blocklength domain", dom)
+    bounds = _integer_range(dom)
+    if isinstance(bounds, Infeasible):
+        return bounds
     try:
         cont = optimize_continuous(cfg, dom)
     except NotConvexError as exc:
-        n_ul = grid_search_oracle(cfg, dom)
-        if isinstance(n_ul, Infeasible):
-            return n_ul
         cont = ContinuousSolution(
-            float(n_ul),
+            float(grid_search_oracle(cfg, dom)),
             OptimizerCase.EXHAUSTIVE,
             0,
             (f"{exc}; took the exhaustive integer argmin over "
-             f"[{math.ceil(dom.n_lo)}, {math.floor(dom.n_hi)}]",),
+             f"[{bounds[0]}, {bounds[1]}]",),
         )
-    refined = refine_integer(cfg, cont.n_ul, dom)
-    if isinstance(refined, Infeasible):
-        return refined
-    # boundary guard: a no-op under convexity, but protects the weak-downlink
+    # the integer neighbours of the continuous optimum plus a boundary
+    # guard: a no-op under convexity, but protects the weak-downlink
     # regime where an interior root need not be the global minimum
-    candidates = {refined, math.ceil(dom.n_lo), math.floor(dom.n_hi)}
-    n_ul = min(candidates, key=lambda n: (loop_log_error(cfg, n), n))
+    n_ul = _best_integer(cfg, _neighbours(cont.n_ul, *bounds) | set(bounds))
     ul = ul_state(cfg, n_ul)
     dl = dl_state(cfg, n_ul)
     report = _feasibility(ul.eps, dl.eps, cfg.eps_max)

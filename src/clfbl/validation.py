@@ -61,7 +61,7 @@ def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> Suit
     checked = 0
     for n in grid:
         n = float(n)
-        # keep the downlink stencil at n_dl > 0 even at the right edge
+        # the uplink stencil stays below n_max even at the right edge
         h = min(max(1e-4, 1e-3 * n), (cfg.n_max - n) / 4.0)
         ul = da.ul_state(cfg, n)
         if abs(ul.x) <= WELL_CONDITIONED_X:
@@ -71,7 +71,9 @@ def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> Suit
             checked += 1
         dl = da.dl_state(cfg, n)
         if abs(dl.x) <= WELL_CONDITIONED_X:
-            fd = da.fd_derivative(lambda m: float(da._dl_eps(cfg, m)), n, 1, h=h)
+            # a step scaled to n_ul would span ~10% of a short downlink
+            h_dl = max(1e-4, 1e-3 * dl.n)
+            fd = da.fd_derivative(lambda m: float(da._dl_eps(cfg, m)), n, 1, h=h_dl)
             err = abs(da.d_eps_dl_dn(cfg, n) - fd) / max(1.0, abs(fd))
             worst = max(worst, err)
             checked += 1

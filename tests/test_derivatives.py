@@ -25,6 +25,7 @@ from clfbl import (
 )
 from clfbl.energy import Infeasible, snr_blocklength_product
 from clfbl.derivatives import (
+    _LOG_PHI_COEFF,
     _dl_eps,
     _signed_log_sum_sign,
     _ul_eps,
@@ -212,6 +213,56 @@ class TestSignedLogs:
         assert d_eps_cl_sign(cfg, 1000.0) in (-1, 0, 1)
         assert d_eps_cl_dn(cfg, 1000.0) == 0.0  # saturated double
 
+    @pytest.mark.parametrize("n_ul", [8.0, 7.999, 2492.0, 2492.001, 0.0, -3.0, math.nan])
+    def test_payload_bound_contract(self, table1, n_ul):
+        # n_ul < d leaves the uplink, n_max - n_ul < d the downlink below
+        # its payload (table1: d = 8, n_max = 2500); NaN is rejected too
+        ul_bad = not n_ul >= table1.d
+        dl_bad = not table1.n_max - n_ul >= table1.d
+        for fn, bad in (
+            (d_eps_ul_dn_signed_log, ul_bad),
+            (d_eps_dl_dn_signed_log, dl_bad),
+            (d_eps_cl_sign, ul_bad or dl_bad),
+        ):
+            if bad:
+                with pytest.raises(ValueError, match="lossless coding"):
+                    fn(table1, n_ul)
+            else:
+                fn(table1, n_ul)
+
+
+def _signed_logs_from_states(cfg, n):
+    """The scalar signs restated on the validated ul_state and dl_state,
+    with the slope factor and the log terms written out."""
+    ul, dl = ul_state(cfg, n), dl_state(cfg, n)
+    g, V, b = ul.gamma, ul.dispersion, ul.beta
+    omega_p = cfg.d / n**2 - cfg.B * g / (LN2 * (1.0 + g) * n)
+    beta_p = (V * (1.0 + g) ** 3 + 2.0 * g) / (2.0 * b * V**2 * (1.0 + g) ** 3)
+    factor = b * omega_p + ul.omega * beta_p
+    if factor == 0.0:
+        ul_log = (0, -math.inf)
+    else:
+        ul_log = (
+            -1 if factor > 0.0 else 1,
+            _LOG_PHI_COEFF - 0.5 * ul.x * ul.x + math.log(abs(factor)),
+        )
+    log_bracket = math.log(cfg.d + dl.capacity * dl.n) - math.log(
+        2.0 * dl.beta * dl.dispersion * dl.n
+    )
+    dl_log = (1, _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket)
+    return ul_log, dl_log, signed_log_add(ul_log, dl_log)[0]
+
+
+def _assert_scalar_kernel_parity(cfg, points) -> None:
+    """The plain-float sign kernel equals its LinkState restatement exactly."""
+    for n in points:
+        kernel = (
+            d_eps_ul_dn_signed_log(cfg, n),
+            d_eps_dl_dn_signed_log(cfg, n),
+            d_eps_cl_sign(cfg, n),
+        )
+        assert kernel == _signed_logs_from_states(cfg, n), (cfg, n)
+
 
 class TestDeltaTerm:
     def test_anchor_at_0db(self):
@@ -288,12 +339,15 @@ ROOT_OFFSETS = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
 
 class TestScanParity:
     """The array derivative of scan_columns against the scalar functions:
-    the same sign at every point, the same value up to last-bit rounding."""
+    the same sign at every point, the same value up to last-bit rounding.
+    At the same points, the scalar sign kernel equals its LinkState
+    restatement exactly."""
 
     @staticmethod
     def _assert_parity(cfg, grid) -> tuple[int, int]:
         """Sign and value parity on the grid, sign parity next to the root;
         returns how many points of each kind were checked."""
+        _assert_scalar_kernel_parity(cfg, grid.tolist())
         cols = scan_columns(cfg, grid)
         for i, n in enumerate(grid.tolist()):
             assert cols.sign_d_eps_cl[i] == d_eps_cl_sign(cfg, n), (cfg, n)
@@ -303,6 +357,7 @@ class TestScanParity:
         if getattr(result, "case", None) is not OptimizerCase.INTERIOR_ROOT:
             return len(grid), 0
         near = np.clip(result.n_ul_cont * (1.0 + ROOT_OFFSETS), grid[0], grid[-1])
+        _assert_scalar_kernel_parity(cfg, near.tolist())
         signs = scan_columns(cfg, near).sign_d_eps_cl
         assert signs.tolist() == [d_eps_cl_sign(cfg, n) for n in near.tolist()], cfg
         return len(grid), len(near)

@@ -17,7 +17,7 @@ from clfbl import (
 )
 from clfbl.energy import Infeasible
 from clfbl.experiments import GENERATOR_ID, config_digest, grid_sample
-from clfbl.validation import approximation_gap_suite
+from clfbl.validation import approximation_gap_suite, derivative_fidelity_suite
 
 from conftest import make_config
 
@@ -175,6 +175,21 @@ class TestApproximationAudit:
         assert result.detail == (
             "eps_ul*eps_dl=1.600e-03 not small against eps_cl=8.000e-02"
         )
+
+
+class TestDerivativeFidelity:
+    def test_short_downlink_at_blocklength_bound(self):
+        # the right end of the domain leaves n_dl = d = 29 bits; a finite-
+        # difference step taken from n_ul (3.7 bits) would span ~10% of the
+        # downlink codeword and miss the analytic slope by 1.7e-4 relative
+        cfg = SystemConfig(
+            d=29.0, f_s=250e3, M=1.0, E=1.38033e-6, p_dl=8.89353e-5,
+            N=4.58551e-5, n_max=3732.0,
+        )
+        result = derivative_fidelity_suite(cfg)
+        assert result.status == "pass", result.detail
+        worst = float(result.detail.split()[3])
+        assert worst < 1e-10
 
 
 class TestGridSample:

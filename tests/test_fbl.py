@@ -211,10 +211,16 @@ class TestLinkState:
         assert state.eps == q_function(state.x)
 
     def test_fields_consistent(self):
-        state = LinkState.from_snr(54.0, 1.1, 8.0)
-        assert state.omega == state.capacity - 8.0 / 54.0
-        assert state.x == math.log(2.0) * state.omega * state.beta
-        assert state.beta == math.sqrt(54.0 / state.dispersion)
+        # the fields compose the public capacity/dispersion bit for bit
+        for n, gamma, d, B in (
+            (54.0, 1.1, 8.0, 1.0), (37.5, 0.013, 12.0, 1.7), (3000.0, 412.0, 29.0, 0.4),
+        ):
+            state = LinkState.from_snr(n, gamma, d, B)
+            assert state.capacity == capacity(gamma, B)
+            assert state.dispersion == dispersion(gamma)
+            assert state.omega == capacity(gamma, B) - d / n
+            assert state.beta == math.sqrt(n / dispersion(gamma))
+            assert state.x == math.log(2.0) * state.omega * state.beta
 
 
 class TestSystemConfig:

@@ -1,10 +1,14 @@
 """Solver against dense-grid and exhaustive-integer oracles."""
 
 import dataclasses
+import importlib.util
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 import clfbl.optimizer
 from clfbl import (
@@ -21,8 +25,11 @@ from clfbl import (
 )
 from clfbl.energy import Infeasible
 from clfbl.derivatives import _cl_log_eps
+from clfbl.optimizer import NotConvexError
 
 from conftest import make_config
+
+GOLDEN_DIR = Path(__file__).with_name("data")
 
 
 def _dense_argmin(cfg, spacing=1e-3):
@@ -244,3 +251,112 @@ class TestRandomizedAgainstOracle:
             oracle = grid_search_oracle(cfg)
             assert result.n_ul == oracle or _objective_tie(cfg, result.n_ul, oracle)
             assert result.iterations <= 60
+
+
+def _seeded_configs(seed: int, count: int):
+    """Valid configs with a non-empty integer domain, p_dl < N included."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        try:
+            cfg = SystemConfig(
+                d=float(rng.integers(8, 65)), f_s=250e3, M=float(rng.integers(1, 4)),
+                E=10.0 ** rng.uniform(-8, -5), p_dl=10.0 ** rng.uniform(-9, 0),
+                N=10.0 ** rng.uniform(-6, -1), n_max=float(rng.integers(100, 5001)),
+            )
+        except ValueError:
+            continue
+        dom = feasible_domain(cfg)
+        if dom.empty or math.ceil(dom.n_lo) > math.floor(dom.n_hi):
+            continue
+        made += 1
+        yield cfg
+
+
+class TestCandidateStep:
+    def test_array_evaluation_is_bitwise_scalar(self, table1):
+        configs = [table1, *_seeded_configs(3, 20)]
+        for cfg in configs:
+            dom = feasible_domain(cfg)
+            points = np.concatenate([
+                np.arange(math.ceil(dom.n_lo), math.floor(dom.n_hi) + 1, dtype=float),
+                np.linspace(dom.n_lo, dom.n_hi, 37),
+            ])
+            array = [v.hex() for v in _cl_log_eps(cfg, points).tolist()]
+            scalar = [loop_log_error(cfg, n).hex() for n in points.tolist()]
+            assert array == scalar, cfg
+
+    def test_single_evaluation_equals_two_stage_minimum(self):
+        # the integer neighbours of the continuous optimum first, then the
+        # boundary guard against the domain's end integers; the first
+        # config is one of the few (6 in 3,000 random ones) where the
+        # guard changes the answer
+        guarded = SystemConfig(
+            d=36.0, f_s=250e3, M=1.0, E=8.218550732019156e-06,
+            p_dl=1.4141822916480302e-09, N=2.6750145212957025e-05, n_max=2518.0,
+        )
+        guard_moved = 0
+        for cfg in [guarded, *_seeded_configs(11, 200)]:
+            dom = feasible_domain(cfg)
+            try:
+                n_cont = optimize_continuous(cfg, dom).n_ul
+            except NotConvexError:
+                n_cont = float(grid_search_oracle(cfg, dom))
+            refined = refine_integer(cfg, n_cont, dom)
+            candidates = {refined, math.ceil(dom.n_lo), math.floor(dom.n_hi)}
+            two_stage = min(candidates, key=lambda n: (loop_log_error(cfg, n), n))
+            assert solve(cfg).n_ul == two_stage, cfg
+            guard_moved += two_stage != refined
+        assert guard_moved > 0
+
+
+def _load_golden_module():
+    spec = importlib.util.spec_from_file_location(
+        "make_solve_golden", GOLDEN_DIR / "make_solve_golden.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGoldenFixture:
+    def test_every_field_bitwise(self):
+        # every field of solve() on 300 configs, floats as float.hex; a
+        # change to the solver's internals must leave all of them alone
+        encode = _load_golden_module().encode
+        cases = json.loads((GOLDEN_DIR / "solve_golden.json").read_text())
+        assert len(cases) == 300
+        for case in cases:
+            values = {k: v for k, v in case["config"].items() if k != "type"}
+            cfg = SystemConfig(**{
+                k: float.fromhex(v) if isinstance(v, str) else v
+                for k, v in values.items()
+            })
+            assert encode(cfg) == case["config"]
+            assert encode(solve(cfg)) == case["result"], cfg
+        cases_of = {case["result"].get("case") for case in cases}
+        assert cases_of == {None, *(c.name for c in OptimizerCase)}
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    d=st.integers(8, 64),
+    M=st.integers(1, 3),
+    log_E=st.floats(-8.0, -5.0),
+    log_N=st.floats(-6.0, -1.0),
+    log_snr_dl=st.floats(0.0, 4.0, exclude_min=True),
+    n_max=st.integers(100, 5000),
+)
+def test_solver_equals_oracle(d, M, log_E, log_N, log_snr_dl, n_max):
+    # p_dl > N only: with p_dl far below N the objective can be flat at 1
+    # with several local minima, which the solver does not yet resolve
+    N = 10.0**log_N
+    p_dl = N * 10.0**log_snr_dl
+    assume(n_max >= 2 * d and p_dl > N)
+    cfg = SystemConfig(d=float(d), f_s=250e3, M=float(M), E=10.0**log_E,
+                       p_dl=p_dl, N=N, n_max=float(n_max))
+    result, oracle = solve(cfg), grid_search_oracle(cfg)
+    event("infeasible" if isinstance(result, Infeasible) else result.case.name)
+    assert isinstance(result, Infeasible) == isinstance(oracle, Infeasible)
+    if not isinstance(oracle, Infeasible):
+        assert result.n_ul == oracle or _objective_tie(cfg, result.n_ul, oracle)
