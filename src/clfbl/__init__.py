@@ -13,9 +13,7 @@ from .fbl import (
     SystemConfig,
     capacity,
     dispersion,
-    fbl_error_rate,
     log_q,
-    loop_error_approx,
     loop_reliability,
     q_function,
     snr,
@@ -30,15 +28,12 @@ from .energy import (
     ul_snr_of_blocklength,
 )
 from .derivatives import (
-    DerivativeBundle,
     ScanReport,
     convexity_scan,
     d_eps_cl_dn,
     d_eps_cl_sign,
     d_eps_dl_dn,
     d_eps_ul_dn,
-    delta_ul,
-    derivative_bundle,
     fd_derivative,
     loop_log_error,
 )
@@ -57,7 +52,6 @@ from .experiments import (
     SweepRecord,
     monte_carlo_validate,
     noise_grid,
-    run_case_study,
     sweep_noise,
 )
 from .scenario import Scenario, ScenarioError, load_scenario, parse_scenario
@@ -69,9 +63,7 @@ __all__ = [
     "SystemConfig",
     "capacity",
     "dispersion",
-    "fbl_error_rate",
     "log_q",
-    "loop_error_approx",
     "loop_reliability",
     "q_function",
     "snr",
@@ -82,15 +74,12 @@ __all__ = [
     "snr_blocklength_product",
     "ul_power_of_blocklength",
     "ul_snr_of_blocklength",
-    "DerivativeBundle",
     "ScanReport",
     "convexity_scan",
     "d_eps_cl_dn",
     "d_eps_cl_sign",
     "d_eps_dl_dn",
     "d_eps_ul_dn",
-    "delta_ul",
-    "derivative_bundle",
     "fd_derivative",
     "loop_log_error",
     "NotConvexError",
@@ -105,7 +94,6 @@ __all__ = [
     "grid_search_oracle",
     "monte_carlo_validate",
     "noise_grid",
-    "run_case_study",
     "sweep_noise",
     "Scenario",
     "ScenarioError",

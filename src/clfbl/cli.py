@@ -45,7 +45,7 @@ from .experiments import (
     SweepRecord,
     config_digest,
     grid_columns,
-    run_case_study,
+    record_at_noise,
     sweep_noise,
 )
 from .optimizer import SolveResult, solve
@@ -141,6 +141,11 @@ def _load(args: argparse.Namespace) -> Scenario:
     return load_scenario(args.scenario)
 
 
+def _given(option: int | None, default: int) -> int:
+    """The option if it was passed, so that 0 reaches the range checks."""
+    return default if option is None else option
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = _load(args)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
@@ -176,8 +181,8 @@ def _meta(scenario: Scenario, cfg, extra: dict) -> dict:
 def _cmd_case_study(args: argparse.Namespace) -> int:
     scenario = _load(args)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
-    grid_points = args.grid_points or scenario.run.case_grid_points
-    record = run_case_study(cfg, grid_points)
+    grid_points = _given(args.grid_points, scenario.run.case_grid_points)
+    record = record_at_noise(cfg, grid_points)
     out_dir = Path(args.out_dir or scenario.run.out_dir or ".")
     meta = _meta(scenario, cfg, {"grid_points": grid_points, "noise_w": cfg.N})
     grid_path, summary_path = _write_outputs([record], out_dir, "case_study", meta)
@@ -191,8 +196,8 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args)
     cfg = scenario.to_config(require_noise=False)
-    sweep_points = args.sweep_points or scenario.run.sweep_points
-    grid_points = args.grid_points or scenario.run.sweep_grid_points
+    sweep_points = _given(args.sweep_points, scenario.run.sweep_points)
+    grid_points = _given(args.grid_points, scenario.run.sweep_grid_points)
     records = sweep_noise(cfg, sweep_points, grid_points)
     out_dir = Path(args.out_dir or scenario.run.out_dir or ".")
     meta = _meta(
@@ -212,9 +217,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = _load(args)
     cfg = scenario.to_config(require_noise=True)
-    trials = args.trials or scenario.run.trials
-    seed = args.seed if args.seed is not None else scenario.run.seed
-    grid_points = args.grid_points or scenario.run.sweep_grid_points
+    trials = _given(args.trials, scenario.run.trials)
+    seed = _given(args.seed, scenario.run.seed)
+    grid_points = _given(args.grid_points, scenario.run.sweep_grid_points)
     suites = run_validation(cfg, trials=trials, seed=seed, grid_points=grid_points)
     failed = False
     for suite in suites:

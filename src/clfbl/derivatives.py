@@ -29,13 +29,13 @@ with no LinkState and no erfc per call; the slope factors are shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
-from .fbl import LinkState, SystemConfig, _link_quantities, capacity
+from .fbl import LinkState, SystemConfig, _link_quantities
 from .energy import (
     Infeasible,
     feasible_domain,
@@ -103,7 +103,10 @@ class _LinkColumns(NamedTuple):
 
 def _link_columns(cfg: SystemConfig, n, gamma) -> tuple:
     """The fields of :class:`_LinkColumns` as a plain tuple, which is
-    cheaper to build on the scalar path of the solver."""
+    cheaper to build on the scalar path of the solver.
+
+    The numpy twin of ``fbl._link_quantities``, kept apart because
+    ``np.log1p`` and ``math.log1p`` round differently on some inputs."""
     cap = cfg.B * np.log1p(gamma) / _LN2
     disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
     omega = cap - cfg.d / n
@@ -322,77 +325,6 @@ def fd_derivative(
 
 
 # ---------------------------------------------------------------------------
-# derivative bundle
-# ---------------------------------------------------------------------------
-
-def delta_ul(gamma: float, B: float = 1.0) -> float:
-    """Residual SNR-coupling term of the uplink derivative decomposition.
-
-    delta = [(4*ln2*C - 3)*g^3 + (11*ln2*C - 7)*g^2 + ln2*C*g + 2] / (1+g)^2
-    with C = B*log2(1+g).  At gamma = 1 this equals (16*ln2 - 8)/4, and it
-    is increasing in gamma for gamma >= 1.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"SNR must be positive, got {gamma!r}")
-    lc = _LN2 * capacity(gamma, B)
-    poly = (
-        (4.0 * lc - 3.0) * gamma**3
-        + (11.0 * lc - 7.0) * gamma**2
-        + lc * gamma
-        + 2.0
-    )
-    return poly / (1.0 + gamma) ** 2
-
-
-@dataclass(frozen=True)
-class DerivativeBundle:
-    """First/second derivative values and helper quantities at one n_ul."""
-
-    n_ul: float
-    phi_ul: float
-    phi_dl: float
-    xi: float          # phi_ul / (2*ln2*beta*V^2*n*(1+gamma)^3)
-    eta: float         # constant gamma_ul*n_ul
-    rho: float         # (M*ln2)^2 * n_ul
-    delta_ul: float
-    d_eps_ul: float
-    d_eps_dl: float
-    d_eps_cl: float
-    d2_eps_cl_fd: float
-
-
-def derivative_bundle(cfg: SystemConfig, n_ul: float) -> DerivativeBundle:
-    """Evaluate the derivative decomposition of the loop error at n_ul."""
-    ul = ul_state(cfg, n_ul)
-    dl = dl_state(cfg, n_ul)
-    phi_ul = _phi(ul.x)
-    xi = phi_ul / (
-        2.0
-        * _LN2
-        * ul.beta
-        * ul.dispersion**2
-        * n_ul
-        * (1.0 + ul.gamma) ** 3
-    )
-    d_ul = phi_ul * _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
-    d_dl = -_phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
-    d2_fd = fd_derivative(lambda n: float(_ul_eps(cfg, n) + _dl_eps(cfg, n)), n_ul, 2)
-    return DerivativeBundle(
-        n_ul=n_ul,
-        phi_ul=phi_ul,
-        phi_dl=_phi(dl.x),
-        xi=xi,
-        eta=snr_blocklength_product(cfg),
-        rho=(cfg.M * _LN2) ** 2 * n_ul,
-        delta_ul=delta_ul(ul.gamma, cfg.B),
-        d_eps_ul=d_ul,
-        d_eps_dl=d_dl,
-        d_eps_cl=d_ul + d_dl,
-        d2_eps_cl_fd=d2_fd,
-    )
-
-
-# ---------------------------------------------------------------------------
 # convexity / sign scan
 # ---------------------------------------------------------------------------
 
@@ -423,19 +355,25 @@ class ScanReport:
 
     ``d2_eps_cl`` reconstructs eps_cl'' = eps_cl * indicator, which
     underflows to 0.0 exactly where eps_cl does.
+
+    :func:`scan_columns` fills the pointwise columns at any blocklengths;
+    only :func:`convexity_scan`, which owns a sorted domain grid, fills
+    ``violations``.
     """
 
     n_ul: np.ndarray
     eps_ul: np.ndarray
     eps_dl: np.ndarray
     eps_cl: np.ndarray
+    log_eps_ul: np.ndarray
+    log_eps_dl: np.ndarray
     log_eps_cl: np.ndarray
     d_eps_cl: np.ndarray
     sign_d_eps_cl: np.ndarray
     d2_eps_cl: np.ndarray
     convexity_indicator: np.ndarray
-    saturated: np.ndarray
-    violations: tuple[ScanViolation, ...]
+    saturated: np.ndarray  # bool: log eps_cl flat to rounding on the stencil
+    violations: tuple[ScanViolation, ...] = ()
 
     def violations_of(self, kind: str) -> tuple[ScanViolation, ...]:
         return tuple(v for v in self.violations if v.kind == kind)
@@ -465,30 +403,6 @@ class ScanReport:
         """
         return not self.violations_of("cl_second_derivative_not_positive")
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
-class ScanColumns:
-    """Pointwise scan quantities at arbitrary blocklengths (no grid checks)."""
-
-    n_ul: np.ndarray
-    x_ul: np.ndarray
-    x_dl: np.ndarray
-    eps_ul: np.ndarray
-    eps_dl: np.ndarray
-    eps_cl: np.ndarray
-    log_eps_ul: np.ndarray
-    log_eps_dl: np.ndarray
-    log_eps_cl: np.ndarray
-    d_eps_cl: np.ndarray
-    sign_d_eps_cl: np.ndarray
-    d2_eps_cl: np.ndarray
-    convexity_indicator: np.ndarray
-    saturated: np.ndarray  # bool: log eps_cl flat to rounding on the stencil
-
 
 #: a five-point stencil of log eps_cl spanning less than this is treated
 #: as flat to rounding (eps_cl pinned at the representation ceiling), so
@@ -496,7 +410,7 @@ class ScanColumns:
 _STENCIL_FLOOR = 1e-12
 
 
-def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanColumns:
+def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     """Evaluate every scan column at the given blocklengths.
 
     One array evaluation over all points, with no per-point Python loop:
@@ -539,10 +453,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanColumns:
 
     d_eps_cl, signs = _d_eps_cl_columns(cfg, ul, dl)
 
-    return ScanColumns(
+    return ScanReport(
         n_ul=grid,
-        x_ul=x_ul,
-        x_dl=x_dl,
         eps_ul=eps_ul,
         eps_dl=eps_dl,
         eps_cl=eps_ul + eps_dl,
@@ -600,16 +512,4 @@ def convexity_scan(
             )
         )
 
-    return ScanReport(
-        n_ul=grid,
-        eps_ul=cols.eps_ul,
-        eps_dl=cols.eps_dl,
-        eps_cl=cols.eps_cl,
-        log_eps_cl=cols.log_eps_cl,
-        d_eps_cl=cols.d_eps_cl,
-        sign_d_eps_cl=cols.sign_d_eps_cl,
-        d2_eps_cl=cols.d2_eps_cl,
-        convexity_indicator=indicator,
-        saturated=cols.saturated,
-        violations=tuple(violations),
-    )
+    return replace(cols, violations=tuple(violations))

@@ -19,14 +19,7 @@ import numpy as np
 
 from .fbl import SystemConfig
 from .energy import DomainBounds, Infeasible, feasible_domain
-from .derivatives import (
-    ScanColumns,
-    ScanReport,
-    convexity_scan,
-    dl_state,
-    scan_columns,
-    ul_state,
-)
+from .derivatives import ScanReport, convexity_scan, dl_state, ul_state
 from .optimizer import SolveResult, solve
 
 #: RNG algorithm recorded in Monte Carlo results for reproducibility
@@ -36,19 +29,10 @@ GENERATOR_ID = "numpy.random.Generator(PCG64)"
 _Z99 = 2.5758293035489004
 
 
-@dataclass(frozen=True)
-class GridSample:
-    n_ul: float
-    eps_ul: float
-    eps_dl: float
-    eps_cl: float
-    d_eps_cl_dn: float
-    sign_d_eps_cl_dn: int
-    d2_eps_cl_dn2: float
-
-
-def grid_columns(cols: ScanReport | ScanColumns) -> list[list]:
-    """The scan's columns as Python lists, in the field order of GridSample."""
+def grid_columns(cols: ScanReport) -> list[list]:
+    """The scan's grid CSV columns after ``noise_w``, as Python lists, in
+    header order: n_ul, eps_ul, eps_dl, eps_cl, d_eps_cl_dn,
+    sign_d_eps_cl_dn, d2_eps_cl_dn2."""
     return [
         cols.n_ul.tolist(),
         cols.eps_ul.tolist(),
@@ -60,10 +44,6 @@ def grid_columns(cols: ScanReport | ScanColumns) -> list[list]:
     ]
 
 
-def _samples(cols: ScanReport | ScanColumns) -> tuple[GridSample, ...]:
-    return tuple(GridSample(*row) for row in zip(*grid_columns(cols)))
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Everything recorded for one noise level of a sweep."""
@@ -73,20 +53,6 @@ class SweepRecord:
     result: SolveResult | Infeasible
     scan: ScanReport | Infeasible
 
-    @property
-    def grid(self) -> tuple[GridSample, ...]:
-        """The scan as one GridSample per grid point; empty if infeasible."""
-        return () if isinstance(self.scan, Infeasible) else _samples(self.scan)
-
-
-def grid_sample(cfg: SystemConfig, n_ul: float) -> GridSample:
-    """One scan row recomputed from scratch; used for CSV round-trips.
-
-    Shares the scan's code path exactly, so a value parsed back from a
-    CSV and recomputed here is bit-identical.
-    """
-    return _samples(scan_columns(cfg, np.asarray([n_ul], dtype=float)))[0]
-
 
 def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
     """Sweep record for cfg's own noise level."""
@@ -95,11 +61,6 @@ def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
     if isinstance(scan, Infeasible):
         return SweepRecord(cfg.N, dom, scan, scan)
     return SweepRecord(cfg.N, dom, solve(cfg), scan)
-
-
-def run_case_study(cfg: SystemConfig, grid_points: int = 500) -> SweepRecord:
-    """Single-noise record with a dense grid, suitable for plotting."""
-    return record_at_noise(cfg, grid_points)
 
 
 def noise_grid(p_dl: float, n_points: int) -> np.ndarray:

@@ -75,7 +75,11 @@ def dispersion(gamma: float) -> float:
 
 def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float, ...]:
     """(capacity, dispersion, omega, beta, x) of one link in plain floats: the
-    formulas of :class:`LinkState` without its checks (n >= d >= 1, gamma > 0)."""
+    formulas of :class:`LinkState` without its checks (n >= d >= 1, gamma > 0).
+
+    Kept apart from ``derivatives._link_columns``: ``math.log1p`` and
+    ``np.log1p`` differ in the last bit on about 7% of the table1 sweep's
+    uplink SNRs, and ``tests/data/solve_golden.json`` pins this side."""
     cap = B * math.log1p(gamma) / _LN2
     disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
     omega = cap - d / n
@@ -202,31 +206,11 @@ class LinkState:
         return log_q(self.x)
 
 
-def fbl_error_rate(n: float, gamma: float, d: float, B: float = 1.0) -> float:
-    """Finite-blocklength error rate Q((ln 2)*(C - d/n)*sqrt(n/V)).
-
-    Use :meth:`LinkState.from_snr` for the intermediate quantities.
-    """
-    return LinkState.from_snr(n, gamma, d, B).eps
-
-
 def loop_reliability(eps_ul: float, eps_dl: float) -> float:
     """Probability (1-eps_ul)*(1-eps_dl) that a full request/response loop succeeds."""
     _check_unit_interval(eps_ul, "eps_ul")
     _check_unit_interval(eps_dl, "eps_dl")
     return (1.0 - eps_ul) * (1.0 - eps_dl)
-
-
-def loop_error_approx(eps_ul: float, eps_dl: float) -> float:
-    """Additive loop-error objective eps_ul + eps_dl.
-
-    May exceed 1; callers treat it as an objective value, not a
-    probability.  The gap to the exact 1 - loop_reliability is exactly
-    eps_ul*eps_dl.
-    """
-    _check_unit_interval(eps_ul, "eps_ul")
-    _check_unit_interval(eps_dl, "eps_dl")
-    return eps_ul + eps_dl
 
 
 def _check_unit_interval(value: float, name: str) -> None:

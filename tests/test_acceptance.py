@@ -34,11 +34,12 @@ import time
 
 import numpy as np
 import pytest
+import sympy as sp
+from mpmath import mp
 
 from clfbl import (
     SystemConfig,
     UpperBound,
-    delta_ul,
     fd_derivative,
     feasible_domain,
     grid_search_oracle,
@@ -61,8 +62,8 @@ from clfbl.derivatives import (
 from clfbl.energy import Infeasible
 
 from conftest import TABLE1
+from test_symbolic import delta_ul
 
-LN2 = math.log(2.0)
 SWEEP_POINTS = 50
 GRID_POINTS = 200
 
@@ -173,7 +174,6 @@ def test_criterion_2_sign_structure(table1_cfg, sweep):
 
 def test_criterion_2_counterexample_high_precision(table1_cfg):
     """eps_ul is not non-increasing: 50-digit evaluation at the reference setup."""
-    mp = pytest.importorskip("mpmath").mp
     cfg = table1_cfg
 
     def eps_ul(n, eta):
@@ -236,8 +236,11 @@ def test_criterion_4_derivative_fidelity(table1_cfg, sweep):
                 err = abs(d_eps_ul_dn(cfg, n) - fd) / max(1.0, abs(fd))
                 worst = max(worst, err)
                 checked_ul += 1
-            if abs(dl_state(cfg, n).x) <= 8.0:
-                fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1, h=h)
+            dl = dl_state(cfg, n)
+            if abs(dl.x) <= 8.0:
+                # the step scales with the downlink codeword, as in the suite
+                h_dl = max(1e-4, 1e-3 * dl.n)
+                fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1, h=h_dl)
                 err = abs(d_eps_dl_dn(cfg, n) - fd) / max(1.0, abs(fd))
                 worst = max(worst, err)
                 checked_dl += 1
@@ -303,10 +306,10 @@ def test_criterion_5_optimizer_correctness(table1_cfg, sweep):
 
 
 def test_criterion_6_delta_anchor():
-    expected = (16.0 * LN2 - 8.0) / 4.0
-    value = delta_ul(1.0)
-    ok = abs(value - expected) <= 1e-12
-    _verdict(ok, 6, f"delta(gamma=1) = {value!r} vs (16*ln2-8)/4 = {expected!r}")
+    expected = (16 * sp.log(2) - 8) / 4
+    value = delta_ul(sp.Integer(1))
+    ok = sp.simplify(value - expected) == 0
+    _verdict(ok, 6, f"delta(gamma=1) = {sp.simplify(value)} equals (16*ln2-8)/4 exactly")
     assert ok
 
 
@@ -315,13 +318,17 @@ def test_criterion_7_approximation_audit(sweep):
     worst_residual = 0.0
     product_violations = []
     for record in records:
-        for s in record.grid:
-            r_loop = (1.0 - s.eps_ul) * (1.0 - s.eps_dl)
-            residual = abs((1.0 - r_loop) - s.eps_cl + s.eps_ul * s.eps_dl)
-            scale = max(1.0, s.eps_cl, 1.0 - r_loop)
+        scan = record.scan
+        for n_ul, a, b, eps_cl in zip(
+            scan.n_ul.tolist(), scan.eps_ul.tolist(), scan.eps_dl.tolist(),
+            scan.eps_cl.tolist(),
+        ):
+            r_loop = (1.0 - a) * (1.0 - b)
+            residual = abs((1.0 - r_loop) - eps_cl + a * b)
+            scale = max(1.0, eps_cl, 1.0 - r_loop)
             worst_residual = max(worst_residual, residual / scale)
-            if s.eps_cl < 0.1 and s.eps_ul * s.eps_dl > 1e-2 * s.eps_cl:
-                product_violations.append((record.noise, s.n_ul))
+            if eps_cl < 0.1 and a * b > 1e-2 * eps_cl:
+                product_violations.append((record.noise, n_ul))
     ok = worst_residual <= 1e-15 and not product_violations
     _verdict(
         ok, 7,

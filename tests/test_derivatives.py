@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from clfbl import (
     SystemConfig,
@@ -13,8 +14,6 @@ from clfbl import (
     d_eps_cl_sign,
     d_eps_dl_dn,
     d_eps_ul_dn,
-    delta_ul,
-    derivative_bundle,
     fd_derivative,
     feasible_domain,
     loop_log_error,
@@ -38,6 +37,7 @@ from clfbl.derivatives import (
 )
 
 from conftest import make_config
+from test_symbolic import delta_ul, gamma
 
 LN2 = math.log(2.0)
 
@@ -265,32 +265,15 @@ def _assert_scalar_kernel_parity(cfg, points) -> None:
 
 
 class TestDeltaTerm:
+    """The delta_ul polynomial of test_symbolic, exactly."""
+
     def test_anchor_at_0db(self):
-        assert delta_ul(1.0) == pytest.approx((16.0 * LN2 - 8.0) / 4.0, abs=1e-12)
+        assert sp.simplify(delta_ul(sp.Integer(1)) - (16 * sp.log(2) - 8) / 4) == 0
 
     def test_increasing_above_0db(self):
-        for gamma in np.geomspace(1.0, 100.0, 40):
-            slope = fd_derivative(lambda g: delta_ul(float(g)), float(gamma), 1)
-            assert slope > 0.0
-
-    def test_rejects_nonpositive_snr(self):
-        with pytest.raises(ValueError):
-            delta_ul(0.0)
-
-
-class TestDerivativeBundle:
-    def test_bundle_invariants(self, table1):
-        bundle = derivative_bundle(table1, 20.0)
-        assert bundle.phi_ul <= 0.0
-        assert bundle.phi_dl <= 0.0
-        assert bundle.xi < 0.0
-        assert bundle.rho == (table1.M * LN2) ** 2 * 20.0
-        assert bundle.eta == snr_blocklength_product(table1)
-        assert bundle.d_eps_cl == bundle.d_eps_ul + bundle.d_eps_dl
-        assert bundle.delta_ul == delta_ul(ul_state(table1, 20.0).gamma)
-
-    def test_second_derivative_positive(self, table1):
-        assert derivative_bundle(table1, 30.0).d2_eps_cl_fd > 0.0
+        slope = sp.lambdify(gamma, sp.diff(delta_ul(gamma), gamma), "math")
+        for g in np.geomspace(1.0, 100.0, 40).tolist():
+            assert slope(g) > 0.0
 
 
 class TestConvexityScan:

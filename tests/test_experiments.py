@@ -11,12 +11,17 @@ from clfbl import (
     grid_search_oracle,
     monte_carlo_validate,
     noise_grid,
-    run_case_study,
     solve,
     sweep_noise,
 )
+from clfbl.derivatives import scan_columns
 from clfbl.energy import Infeasible
-from clfbl.experiments import GENERATOR_ID, config_digest, grid_sample
+from clfbl.experiments import (
+    GENERATOR_ID,
+    config_digest,
+    grid_columns,
+    record_at_noise,
+)
 from clfbl.validation import approximation_gap_suite, derivative_fidelity_suite
 
 from conftest import make_config
@@ -24,24 +29,24 @@ from conftest import make_config
 
 class TestCaseStudy:
     def test_reference_record(self, table1):
-        record = run_case_study(table1, 500)
-        assert len(record.grid) == 500
+        record = record_at_noise(table1, 500)
+        assert len(record.scan.n_ul) == 500
         assert record.domain.binding_hi is UpperBound.SNR_BOUND
         assert record.domain.n_hi == pytest.approx(54.1667, abs=1e-3)
         assert record.domain.n_hi < table1.n_max - table1.d
         assert record.scan.convex_ok
-        for sample in record.grid:
-            assert record.domain.n_lo <= sample.n_ul <= record.domain.n_hi
+        for n_ul in record.scan.n_ul.tolist():
+            assert record.domain.n_lo <= n_ul <= record.domain.n_hi
 
     def test_single_point_grid_well_formed(self, table1):
-        record = run_case_study(table1, 1)
-        assert len(record.grid) == 1
-        assert record.grid[0].n_ul == record.domain.n_lo
+        record = record_at_noise(table1, 1)
+        assert len(record.scan.n_ul) == 1
+        assert record.scan.n_ul[0] == record.domain.n_lo
 
     def test_infeasible_record(self):
-        record = run_case_study(make_config(N=0.1), 10)
+        record = record_at_noise(make_config(N=0.1), 10)
         assert isinstance(record.result, Infeasible)
-        assert record.grid == ()
+        assert isinstance(record.scan, Infeasible)
 
 
 class TestNoiseSweep:
@@ -80,14 +85,14 @@ class TestNoiseSweep:
         second = sweep_noise(table1, 5, grid_points=15)
         for a, b in zip(first, second):
             assert a.noise == b.noise
-            assert a.grid == b.grid
+            assert grid_columns(a.scan) == grid_columns(b.scan)
             assert a.result == b.result
 
     def test_grid_samples_lie_in_domain(self, table1):
         for record in sweep_noise(table1, 5, grid_points=15):
-            assert len(record.grid) == 15
-            for sample in record.grid:
-                assert record.domain.n_lo <= sample.n_ul <= record.domain.n_hi
+            assert len(record.scan.n_ul) == 15
+            for n_ul in record.scan.n_ul.tolist():
+                assert record.domain.n_lo <= n_ul <= record.domain.n_hi
 
 
 class TestGridSearchOracle:
@@ -143,21 +148,24 @@ class TestMonteCarlo:
 class TestApproximationAudit:
     def test_gap_identity_and_bound_over_sweep(self, table1):
         for record in sweep_noise(table1, 10, grid_points=40):
-            for s in record.grid:
-                r_loop = (1.0 - s.eps_ul) * (1.0 - s.eps_dl)
-                residual = abs((1.0 - r_loop) - s.eps_cl + s.eps_ul * s.eps_dl)
-                assert residual <= 1e-15 * max(1.0, s.eps_cl, 1.0 - r_loop)
-                if s.eps_cl < 0.1:
-                    assert s.eps_ul * s.eps_dl <= 1e-2 * s.eps_cl
+            scan = record.scan
+            for a, b, eps_cl in zip(
+                scan.eps_ul.tolist(), scan.eps_dl.tolist(), scan.eps_cl.tolist()
+            ):
+                r_loop = (1.0 - a) * (1.0 - b)
+                residual = abs((1.0 - r_loop) - eps_cl + a * b)
+                assert residual <= 1e-15 * max(1.0, eps_cl, 1.0 - r_loop)
+                if eps_cl < 0.1:
+                    assert a * b <= 1e-2 * eps_cl
 
 
     def test_suite_worst_residual_matches_scalar_loop(self, table1):
         record = sweep_noise(table1, 50, grid_points=200)[40]
         worst = 0.0
-        for s in record.grid:
-            r_loop = (1.0 - s.eps_ul) * (1.0 - s.eps_dl)
-            residual = abs((1.0 - r_loop) - (s.eps_ul + s.eps_dl) + s.eps_ul * s.eps_dl)
-            worst = max(worst, residual / max(1.0, 1.0 - r_loop, s.eps_ul + s.eps_dl))
+        for a, b in zip(record.scan.eps_ul.tolist(), record.scan.eps_dl.tolist()):
+            r_loop = (1.0 - a) * (1.0 - b)
+            residual = abs((1.0 - r_loop) - (a + b) + a * b)
+            worst = max(worst, residual / max(1.0, 1.0 - r_loop, a + b))
         result = approximation_gap_suite(record.scan)
         assert result.status == "pass"
         assert result.detail == (
@@ -193,11 +201,13 @@ class TestDerivativeFidelity:
 
 
 class TestGridSample:
+    """A grid sample is one row of the scan's CSV columns."""
+
     def test_matches_sweep_row_bitwise(self, table1):
-        record = run_case_study(table1, 20)
-        sample = record.grid[7]
-        recomputed = grid_sample(table1, sample.n_ul)
-        assert recomputed == sample
+        record = record_at_noise(table1, 20)
+        row = [column[7] for column in grid_columns(record.scan)]
+        alone = scan_columns(table1, np.array(row[:1]))
+        assert [column[0] for column in grid_columns(alone)] == row
 
     def test_config_digest_stable_and_distinct(self, table1):
         assert config_digest(table1) == config_digest(make_config())

@@ -9,9 +9,7 @@ from clfbl import (
     LinkState,
     capacity,
     dispersion,
-    fbl_error_rate,
     log_q,
-    loop_error_approx,
     loop_reliability,
     q_function,
     snr,
@@ -140,37 +138,40 @@ class TestCapacityDispersion:
 class TestFblErrorRate:
     def test_capacity_equals_rate_gives_half(self):
         # gamma = 1 makes C = 1, and n = d makes d/n = 1, so x = 0
-        assert fbl_error_rate(8.0, 1.0, 8.0) == 0.5
+        assert LinkState.from_snr(8.0, 1.0, 8.0).eps == 0.5
 
     def test_pinned_table_value(self):
         cfg = make_config()
         gamma = ul_snr_of_blocklength(cfg, 54.0)
-        eps = fbl_error_rate(54.0, gamma, 8.0, 1.0)
-        assert eps == pytest.approx(EPS_UL_AT_54, rel=1e-12)
+        state = LinkState.from_snr(54.0, gamma, 8.0, 1.0)
+        assert state.eps == pytest.approx(EPS_UL_AT_54, rel=1e-12)
         # second, log-domain implementation of the same quantity
-        state = LinkState.from_snr(54.0, gamma, 8.0)
-        assert math.exp(state.log_eps()) == pytest.approx(eps, rel=1e-12)
+        assert math.exp(state.log_eps()) == pytest.approx(state.eps, rel=1e-12)
 
     def test_decreasing_in_gamma(self):
-        values = [fbl_error_rate(50.0, g, 8.0) for g in (0.8, 1.6, 3.2)]
+        values = [LinkState.from_snr(50.0, g, 8.0).eps for g in (0.8, 1.6, 3.2)]
         assert values[0] > values[1] > values[2]
 
     def test_decreasing_in_n_at_fixed_gamma(self):
         for gamma in (1.0, 2.0, 8.0):
-            values = [fbl_error_rate(float(n), gamma, 8.0) for n in range(8, 200, 7)]
+            values = [
+                LinkState.from_snr(float(n), gamma, 8.0).eps for n in range(8, 200, 7)
+            ]
             assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_increasing_in_payload(self):
-        values = [fbl_error_rate(100.0, 1.5, float(d)) for d in range(4, 60, 5)]
+        values = [
+            LinkState.from_snr(100.0, 1.5, float(d)).eps for d in range(4, 60, 5)
+        ]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_degenerate_channel_rejected(self):
         with pytest.raises(ValueError):
-            fbl_error_rate(50.0, 0.0, 8.0)
+            LinkState.from_snr(50.0, 0.0, 8.0)
 
     def test_lossless_coding_violation_rejected(self):
         with pytest.raises(ValueError):
-            fbl_error_rate(7.9, 1.0, 8.0)
+            LinkState.from_snr(7.9, 1.0, 8.0)
 
 
 class TestLoopCombinators:
@@ -179,16 +180,12 @@ class TestLoopCombinators:
         assert loop_reliability(1.0, 0.37) == 0.0
         assert loop_reliability(1e-3, 2e-3) == pytest.approx(0.997002, rel=1e-12)
 
-    def test_approx_values(self):
-        assert loop_error_approx(0.0, 0.0) == 0.0
-        assert loop_error_approx(1e-3, 2e-3) == pytest.approx(3e-3, rel=1e-15)
-
     def test_domain_checks(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
                 loop_reliability(bad, 0.5)
             with pytest.raises(ValueError):
-                loop_error_approx(0.5, bad)
+                loop_reliability(0.5, bad)
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
@@ -196,7 +193,7 @@ class TestLoopCombinators:
     )
     def test_approximation_gap_identity(self, a, b):
         # 1 - (1-a)(1-b) - (a+b) == -a*b, up to rounding at scale ~1
-        gap = 1.0 - loop_reliability(a, b) - loop_error_approx(a, b)
+        gap = 1.0 - loop_reliability(a, b) - (a + b)
         assert gap == pytest.approx(-a * b, abs=4e-16)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 import clfbl.derivatives
@@ -15,7 +16,8 @@ from clfbl.cli import (
     SUMMARY_HEADER,
     main,
 )
-from clfbl.experiments import GridSample, grid_sample
+from clfbl.derivatives import scan_columns
+from clfbl.experiments import grid_columns
 from clfbl.scenario import (
     ScenarioError,
     TABLE1_VALUES,
@@ -200,26 +202,21 @@ class TestCsvOutputs:
             ).read_bytes()
 
     def test_round_trip_recompute(self, tmp_path, table1):
-        # every column of every row, parsed back, equals the recomputed
-        # grid sample bit for bit
+        # every column of every row, parsed back, equals the same row
+        # recomputed by a one-point scan, bit for bit
         main([
             "sweep", "table1", "--out-dir", str(tmp_path),
             "--sweep-points", "6", "--grid-points", "25",
         ])
         lines = (tmp_path / "sweep_grid.csv").read_text().splitlines()[1:]
         assert len(lines) == 6 * 25
-        bits = lambda sample: tuple(
-            v if isinstance(v, int) else float.hex(v)
-            for v in dataclasses.astuple(sample)
-        )
+        bits = lambda row: [v if isinstance(v, int) else float.hex(v) for v in row]
         for line in lines:
             fields = line.split(",")
-            noise = float(fields[0])
-            parsed = GridSample(
-                *map(float, fields[1:6]), int(fields[6]), float(fields[7])
-            )
-            cfg = dataclasses.replace(table1, N=noise)
-            assert bits(parsed) == bits(grid_sample(cfg, parsed.n_ul)), line
+            parsed = [*map(float, fields[1:6]), int(fields[6]), float(fields[7])]
+            cfg = dataclasses.replace(table1, N=float(fields[0]))
+            alone = scan_columns(cfg, np.array(parsed[:1]))
+            assert bits(parsed) == bits(column[0] for column in grid_columns(alone)), line
 
     def test_unwritable_out_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
@@ -265,3 +262,19 @@ class TestValidateCommand:
 class TestExitCodeContract:
     def test_documented_values(self):
         assert (EXIT_OK, EXIT_USAGE, EXIT_INFEASIBLE, EXIT_VALIDATION) == (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["case-study", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
+        (["sweep", "table1", "--sweep-points", "0"], "n_points must be >= 2"),
+        (["sweep", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
+        (["validate", "table1", "--trials", "0"], "trials must be >= 1"),
+        (["validate", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
+    ])
+    def test_zero_count_is_usage_error(self, argv, message, tmp_path, monkeypatch,
+                                       capsys):
+        # 0 is a value given, not a missing option: it must not fall back
+        # to the scenario's default
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

@@ -1,0 +1,98 @@
+"""Symbolic checks of the closed forms in the ``clfbl.derivatives`` docstring.
+
+sympy differentiates the decoding argument x = (ln 2)*omega*beta itself,
+so the hand-derived slope factors, d eps/d n = phi * factor with
+factor = (dx/dn)/ln 2, are held to a derivation that shares no code with
+them.  The uplink sees n through its blocklength and through
+gamma = eta/n; the downlink has a fixed SNR and n_dl = n_max - n_ul.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+import sympy as sp
+
+from clfbl.derivatives import _dl_slope_factor, _ul_slope_factor
+from clfbl.energy import feasible_domain, snr_blocklength_product
+from clfbl.fbl import _link_quantities
+
+from conftest import make_config
+
+n, gamma, eta, d, B = sp.symbols("n gamma eta d B", positive=True)
+
+V = 1 - 1 / (1 + gamma) ** 2
+OMEGA = B * sp.log(1 + gamma) / sp.log(2) - d / n
+BETA = sp.sqrt(n / V)
+X = sp.log(2) * OMEGA * BETA
+
+#: under the energy coupling gamma_ul * n_ul = eta is constant
+UL = {gamma: eta / n}
+
+
+def delta_ul(g, b=1):
+    """Residual SNR-coupling term of the uplink derivative decomposition,
+
+        [(4*ln2*C - 3)*g^3 + (11*ln2*C - 7)*g^2 + ln2*C*g + 2] / (1+g)^2,
+
+    with C = B*log2(1+g), as an exact sympy expression."""
+    lc = b * sp.log(1 + g)
+    poly = (4 * lc - 3) * g**3 + (11 * lc - 7) * g**2 + lc * g + 2
+    return poly / (1 + g) ** 2
+
+
+def _is_zero(expr) -> bool:
+    return sp.simplify(expr) == 0
+
+
+class TestClosedForms:
+    def test_uplink_omega_slope(self):
+        closed = d / n**2 - B * gamma / (sp.log(2) * (1 + gamma) * n)
+        assert _is_zero(sp.diff(OMEGA.subs(UL), n) - closed.subs(UL))
+
+    def test_uplink_beta_slope(self):
+        closed = (V * (1 + gamma) ** 3 + 2 * gamma) / (
+            2 * BETA * V**2 * (1 + gamma) ** 3
+        )
+        assert _is_zero(sp.diff(BETA.subs(UL), n) - closed.subs(UL))
+
+    def test_downlink_bracket(self):
+        # d x_dl/d n_dl over ln 2, at fixed SNR, and the positive form the
+        # signed-log kernel takes its magnitude from
+        bracket = BETA * d / n**2 + OMEGA / (2 * BETA * V)
+        assert _is_zero(sp.diff(X, n) / sp.log(2) - bracket)
+        capacity = B * sp.log(1 + gamma) / sp.log(2)
+        assert _is_zero(bracket - (d + capacity * n) / (2 * BETA * V * n))
+
+
+#: sympy's dx/dn as functions of (n, eta, d, B) and (n, gamma, d, B), each
+#: evaluated in 50-digit arithmetic
+_UL_SLOPE = sp.lambdify((n, eta, d, B), sp.diff(X.subs(UL), n) / sp.log(2), "mpmath")
+_DL_SLOPE = sp.lambdify((n, gamma, d, B), sp.diff(X, n) / sp.log(2), "mpmath")
+
+_CONFIGS = [
+    make_config(),
+    make_config(N=1e-5),
+    make_config(d=12.0, f_s=100e3, M=3.0, E=2e-6, p_dl=8e-3, N=2e-3,
+                n_max=900.0, B=1.7),
+]
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS)
+def test_slope_factors_match_symbolic_derivative(cfg):
+    dom = feasible_domain(cfg)
+    eta_f = snr_blocklength_product(cfg)
+    g_dl = cfg.p_dl * cfg.g_dl / cfg.N
+    with mpmath.workdps(50):
+        for n_ul in np.linspace(dom.n_lo, dom.n_hi, 25).tolist():
+            g_ul = eta_f / n_ul
+            _, V_f, w, b, _ = _link_quantities(n_ul, g_ul, cfg.d, cfg.B)
+            factor = _ul_slope_factor(cfg, n_ul, g_ul, V_f, b, w)
+            exact = float(_UL_SLOPE(n_ul, eta_f, cfg.d, cfg.B))
+            assert factor == pytest.approx(exact, rel=1e-12), ("ul", n_ul)
+
+            n_dl = cfg.n_max - n_ul
+            _, V_f, w, b, _ = _link_quantities(n_dl, g_dl, cfg.d, cfg.B)
+            factor = _dl_slope_factor(cfg, n_dl, V_f, b, w)
+            exact = float(_DL_SLOPE(n_dl, g_dl, cfg.d, cfg.B))
+            assert factor == pytest.approx(exact, rel=1e-12), ("dl", n_ul)
+
