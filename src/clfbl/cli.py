@@ -137,17 +137,13 @@ def _result_json(result: SolveResult) -> dict:
     return payload
 
 
-def _load(args: argparse.Namespace) -> Scenario:
-    return load_scenario(args.scenario)
-
-
 def _given(option: int | None, default: int) -> int:
     """The option if it was passed, so that 0 reaches the range checks."""
     return default if option is None else option
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
     if cfg.N >= cfg.p_dl and not args.allow_high_noise:
         raise _CliError(
@@ -179,7 +175,7 @@ def _meta(scenario: Scenario, cfg, extra: dict) -> dict:
 
 
 def _cmd_case_study(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
     grid_points = _given(args.grid_points, scenario.run.case_grid_points)
     record = record_at_noise(cfg, grid_points)
@@ -194,7 +190,7 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=False)
     sweep_points = _given(args.sweep_points, scenario.run.sweep_points)
     grid_points = _given(args.grid_points, scenario.run.sweep_grid_points)
@@ -215,7 +211,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = _load(args)
+    scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True)
     trials = _given(args.trials, scenario.run.trials)
     seed = _given(args.seed, scenario.run.seed)

@@ -21,9 +21,12 @@ finite for any x, and second-derivative positivity of f = exp(g) is
 decided via the identity sign(f'') = sign(g'' + g'^2) with g = log eps
 evaluated by finite differences.
 
-The solver's bisection kernel (``d_eps_cl_sign`` and its two signed-log
-terms) is plain float arithmetic on the formulas LinkState is built from,
-with no LinkState and no erfc per call; the slope factors are shared.
+There is one derivative kernel, in numpy arrays (``_ul_d_eps`` and
+``_dl_d_eps``): the scan sums it, the validation suite reads it, and
+``d_eps_ul_dn``/``d_eps_dl_dn`` are one-point calls of it.  The scalar
+``math`` path serves only the solver's sign kernel (``d_eps_cl_sign``
+and its two signed-log terms), whose bits ``tests/data/solve_golden.json``
+pins, and LinkState.  The slope factors are shared by both paths.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ def dl_state(cfg: SystemConfig, n_ul: float) -> LinkState:
 
 def loop_log_error(cfg: SystemConfig, n_ul: float) -> float:
     """log(eps_ul + eps_dl) at n_ul, finite where the doubles underflow."""
-    return float(np.logaddexp(_ul_log_eps(cfg, n_ul), _dl_log_eps(cfg, n_ul)))
+    return float(_cl_log_eps(cfg, n_ul))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +163,9 @@ def _dl_eps(cfg: SystemConfig, n_ul):
 # first derivatives
 # ---------------------------------------------------------------------------
 
-def _phi(x: float) -> float:
-    """phi = -(ln 2)/sqrt(2*pi) * exp(-x^2/2); underflows to -0.0 for |x| large."""
-    return -(_LN2 / math.sqrt(2.0 * math.pi)) * math.exp(-0.5 * x * x)
+def _phi(x):
+    """phi = -(ln 2)/sqrt(2*pi) * exp(-x^2/2) elementwise; -0.0 for |x| large."""
+    return -(_LN2 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
 
 
 def _ul_slope_factor(cfg: SystemConfig, n, g, V, b, w):
@@ -180,6 +183,26 @@ def _dl_slope_factor(cfg: SystemConfig, n, V, b, w):
     return b * cfg.d / n**2 + w / (2.0 * b * V)
 
 
+def _ul_d_eps(cfg: SystemConfig, ul: _LinkColumns):
+    """(d eps_ul/d n_ul, its exact sign, log|value|) over uplink columns;
+    phi < 0, so the sign is opposite to the slope factor's."""
+    factor = _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
+    sign = np.where(factor == 0.0, 0, np.where(factor > 0.0, -1, 1))
+    with np.errstate(divide="ignore"):
+        log_mag = _LOG_PHI_COEFF - 0.5 * ul.x * ul.x + np.log(np.abs(factor))
+    return _phi(ul.x) * factor, sign, log_mag
+
+
+def _dl_d_eps(cfg: SystemConfig, dl: _LinkColumns):
+    """(d eps_dl/d n_ul, log|value|) over downlink columns; the sign is +1,
+    and the log takes the bracket's positive form (d + C*n_dl)/(2*beta*V*n_dl)."""
+    value = -_phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
+    log_bracket = np.log(cfg.d + dl.capacity * dl.n) - np.log(
+        2.0 * dl.beta * dl.dispersion * dl.n
+    )
+    return value, _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket
+
+
 def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
     """Analytic d eps_ul / d n_ul under the energy coupling.
 
@@ -188,14 +211,19 @@ def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
     eta > 4*ln2*d/(6 - 8*ln2): at gamma = 1 the sign is that of
     -(4*ln2*d + n*(8*ln2 - 6)).
     """
-    s = ul_state(cfg, n_ul)
-    return _phi(s.x) * _ul_slope_factor(cfg, s.n, s.gamma, s.dispersion, s.beta, s.omega)
+    if not n_ul >= cfg.d:
+        raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
+    ul = _LinkColumns(*_ul_link(cfg, np.array([n_ul], dtype=float)))
+    return float(_ul_d_eps(cfg, ul)[0][0])
 
 
 def d_eps_dl_dn(cfg: SystemConfig, n_ul: float) -> float:
     """Analytic d eps_dl / d n_ul; strictly positive for any gamma_dl > 0."""
-    s = dl_state(cfg, n_ul)
-    return -_phi(s.x) * _dl_slope_factor(cfg, s.n, s.dispersion, s.beta, s.omega)
+    n_dl = cfg.n_max - n_ul
+    if not n_dl >= cfg.d:
+        raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
+    dl = _LinkColumns(*_dl_link(cfg, np.array([n_ul], dtype=float)))
+    return float(_dl_d_eps(cfg, dl)[0][0])
 
 
 def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
@@ -204,11 +232,8 @@ def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
 
 
 def d_eps_ul_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
-    """(sign, log|value|) of d eps_ul / d n_ul, exact under underflow.
-
-    phi is strictly negative in exact arithmetic, so the sign is carried
-    by the slope factor alone and the magnitude by its log.
-    """
+    """(sign, log|value|) of d eps_ul / d n_ul, exact under underflow; the
+    plain-float twin of ``_ul_d_eps``."""
     if not n_ul >= cfg.d:
         raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
     gamma = snr_blocklength_product(cfg) / n_ul
@@ -221,11 +246,8 @@ def d_eps_ul_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
 
 
 def d_eps_dl_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
-    """(sign, log|value|) of d eps_dl / d n_ul; the sign is always +1.
-
-    The bracket simplifies to (d + C*n_dl) / (2*beta*V*n_dl), manifestly
-    positive, which is the form used for the log magnitude.
-    """
+    """(sign, log|value|) of d eps_dl / d n_ul; the plain-float twin of
+    ``_dl_d_eps``."""
     n_dl = cfg.n_max - n_ul
     if not n_dl >= cfg.d:
         raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
@@ -272,35 +294,15 @@ def _signed_log_sum_sign(sa, la, sb, lb) -> np.ndarray:
     return np.where((sa == 0) | (la == -math.inf), sb, sign)
 
 
-def _d_eps_cl_columns(
-    cfg: SystemConfig, ul: _LinkColumns, dl: _LinkColumns
-) -> tuple[np.ndarray, np.ndarray]:
-    """d eps_cl / d n_ul and its exact sign over arrays of link columns.
-
-    The array form of d_eps_cl_dn and d_eps_cl_sign: the same formulas,
-    evaluated once over the whole grid.  numpy's exp, log and power may
-    round the last bits differently from their ``math`` counterparts, so
-    the derivative can differ from the scalar path in its last digits.
-    """
-    phi = lambda x: -(_LN2 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
-    ul_factor = _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
-    d_eps_ul = phi(ul.x) * ul_factor
-    d_eps_dl = -phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
-
-    # phi < 0, so the uplink sign is opposite to its slope factor's
-    sign_ul = np.where(ul_factor == 0.0, 0, np.where(ul_factor > 0.0, -1, 1))
-    with np.errstate(divide="ignore"):
-        log_ul = _LOG_PHI_COEFF - 0.5 * ul.x * ul.x + np.log(np.abs(ul_factor))
-    log_bracket = np.log(cfg.d + dl.capacity * dl.n) - np.log(
-        2.0 * dl.beta * dl.dispersion * dl.n
-    )
-    log_dl = _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket
-    return d_eps_ul + d_eps_dl, _signed_log_sum_sign(sign_ul, log_ul, 1, log_dl)
-
-
 # ---------------------------------------------------------------------------
 # finite differences (independent oracle)
 # ---------------------------------------------------------------------------
+
+def _fd_step(cfg: SystemConfig, n_ul):
+    """Finite-difference step at n_ul: max(1e-4, 1e-3*n_ul), shrunk near
+    n_max so that a stencil of +-2 steps keeps n_dl > 0."""
+    return np.minimum(np.maximum(1e-4, 1e-3 * n_ul), (cfg.n_max - n_ul) / 4.0)
+
 
 def fd_derivative(
     f: Callable[[float], float], n: float, order: int, h: float | None = None
@@ -309,6 +311,8 @@ def fd_derivative(
 
     Uses steps h and 2h, so f must be evaluable on [n-2h, n+2h]; domain
     errors from f propagate.  The default step is max(1e-4, 1e-3*n).
+    With an f that maps arrays elementwise, n and an explicit h may be
+    arrays, and every point is differenced at once.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -416,10 +420,9 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     One array evaluation over all points, with no per-point Python loop:
     error rates and their logs from the decoding arguments, the
     convexity indicator from Richardson differences of log eps_cl, and
-    d eps_cl/d n_ul with its exact log-space sign from
-    ``_d_eps_cl_columns``.  That sign equals :func:`d_eps_cl_sign` at
-    every point; the derivative agrees with :func:`d_eps_cl_dn` up to the
-    last bits that numpy's exp, log and power round differently.
+    d eps_cl/d n_ul as the sum of the per-link kernels ``_ul_d_eps`` and
+    ``_dl_d_eps``, with its exact log-space sign.  That sign equals
+    :func:`d_eps_cl_sign` at every point.
 
     The same code path serves full-grid scans and single-point CSV
     round-trip checks, so recomputed values are bit-identical.
@@ -435,10 +438,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     eps_ul = np.asarray(0.5 * _erfc(x_ul / _SQRT2), dtype=float)
     eps_dl = np.asarray(0.5 * _erfc(x_dl / _SQRT2), dtype=float)
 
-    # Richardson-extrapolated central differences of log eps_cl; the step
-    # shrinks near n_max so the downlink stencil keeps n_dl > 0.
-    h = np.maximum(1e-4, 1e-3 * grid)
-    h = np.minimum(h, (cfg.n_max - grid) / 4.0)
+    # Richardson-extrapolated central differences of log eps_cl
+    h = _fd_step(cfg, grid)
     f = lambda pts: np.logaddexp(_ul_log_eps(cfg, pts), _dl_log_eps(cfg, pts))
     f_p1, f_m1 = f(grid + h), f(grid - h)
     f_p2, f_m2 = f(grid + 2.0 * h), f(grid - 2.0 * h)
@@ -451,7 +452,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     stencil = np.stack([f_m2, f_m1, log_cl, f_p1, f_p2])
     saturated = (stencil.max(axis=0) - stencil.min(axis=0)) < _STENCIL_FLOOR
 
-    d_eps_cl, signs = _d_eps_cl_columns(cfg, ul, dl)
+    d_eps_ul, sign_ul, log_d_ul = _ul_d_eps(cfg, ul)
+    d_eps_dl, log_d_dl = _dl_d_eps(cfg, dl)
 
     return ScanReport(
         n_ul=grid,
@@ -461,8 +463,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
         log_eps_ul=log_ul,
         log_eps_dl=log_dl,
         log_eps_cl=log_cl,
-        d_eps_cl=d_eps_cl,
-        sign_d_eps_cl=signs,
+        d_eps_cl=d_eps_ul + d_eps_dl,
+        sign_d_eps_cl=_signed_log_sum_sign(sign_ul, log_d_ul, 1, log_d_dl),
         d2_eps_cl=np.exp(log_cl) * indicator,
         convexity_indicator=indicator,
         saturated=saturated,

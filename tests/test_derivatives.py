@@ -321,21 +321,19 @@ ROOT_OFFSETS = np.array([-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6])
 
 
 class TestScanParity:
-    """The array derivative of scan_columns against the scalar functions:
-    the same sign at every point, the same value up to last-bit rounding.
-    At the same points, the scalar sign kernel equals its LinkState
-    restatement exactly."""
+    """The array derivative sign of scan_columns against the solver's
+    scalar sign kernel, at every point.  At the same points, the scalar
+    sign kernel equals its LinkState restatement exactly.  The derivative
+    values are held to a 50-digit reference in test_symbolic."""
 
     @staticmethod
     def _assert_parity(cfg, grid) -> tuple[int, int]:
-        """Sign and value parity on the grid, sign parity next to the root;
-        returns how many points of each kind were checked."""
+        """Sign parity on the grid and next to the root; returns how many
+        points of each kind were checked."""
         _assert_scalar_kernel_parity(cfg, grid.tolist())
         cols = scan_columns(cfg, grid)
         for i, n in enumerate(grid.tolist()):
             assert cols.sign_d_eps_cl[i] == d_eps_cl_sign(cfg, n), (cfg, n)
-            scalar = d_eps_cl_dn(cfg, n)
-            assert abs(cols.d_eps_cl[i] - scalar) <= 1e-9 * abs(scalar), (cfg, n)
         result = solve(cfg)
         if getattr(result, "case", None) is not OptimizerCase.INTERIOR_ROOT:
             return len(grid), 0

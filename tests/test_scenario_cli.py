@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from clfbl.cli import (
     SUMMARY_HEADER,
     main,
 )
+from clfbl import SystemConfig
 from clfbl.derivatives import scan_columns
 from clfbl.experiments import grid_columns
 from clfbl.scenario import (
@@ -24,6 +26,9 @@ from clfbl.scenario import (
     load_scenario,
     parse_scenario,
 )
+from clfbl.validation import run_validation
+
+GOLDEN_DIR = Path(__file__).with_name("data")
 
 FLOAT_KEYS = ("d", "f_s", "M", "E", "p_dl", "N", "n_max", "T", "g_ul", "g_dl",
               "B", "eps_max")
@@ -236,27 +241,51 @@ class TestValidateCommand:
 
     def test_corrupted_derivative_fails(self, capsys, monkeypatch):
         # the corruption must clear the suite's absolute floor of
-        # 1e-6*max(1, |FD|), so shift rather than scale
-        true_fn = clfbl.derivatives.d_eps_ul_dn
-        monkeypatch.setattr(
-            clfbl.derivatives, "d_eps_ul_dn",
-            lambda cfg, n: true_fn(cfg, n) + 1e-3,
-        )
+        # 1e-6*max(1, |FD|), so shift rather than scale; it is applied to
+        # the per-link array kernel the suite reads
+        true_fn = clfbl.derivatives._ul_d_eps
+
+        def shifted(cfg, ul):
+            value, sign, log_mag = true_fn(cfg, ul)
+            return value + 1e-3, sign, log_mag
+
+        monkeypatch.setattr(clfbl.derivatives, "_ul_d_eps", shifted)
         code = main(["validate", "table1", "--trials", "1000"])
         out = capsys.readouterr().out
         assert code == EXIT_VALIDATION
         assert "FAIL derivative_fidelity" in out
 
     def test_infeasible_scenario_skips(self, tmp_path, capsys):
-        path = tmp_path / "hopeless.scn"
-        path.write_text(
-            "d=8\nf_s=250e3\nM=1\nE=0.65e-6\np_dl=10e-3\nN=0.1\nn_max=2500\n"
-        )
-        code = main(["validate", str(path)])
+        code = main(["validate", _hopeless_scenario(tmp_path)])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.count("SKIP") == 5
         assert "infeasible" in out
+
+
+def _hopeless_scenario(directory) -> str:
+    """table1 values with N = 0.1, which leaves the domain empty."""
+    path = directory / "hopeless.scn"
+    path.write_text(
+        "d=8\nf_s=250e3\nM=1\nE=0.65e-6\np_dl=10e-3\nN=0.1\nn_max=2500\n"
+    )
+    return str(path)
+
+
+class TestValidateGolden:
+    def test_every_report_exact(self):
+        # the (name, status, detail) of every suite on 151 configs, written
+        # by tests/data/make_validate_golden.py
+        cases = json.loads((GOLDEN_DIR / "validate_golden.json").read_text())
+        assert len(cases) == 151
+        for case in cases:
+            values = {k: v for k, v in case["config"].items() if k != "type"}
+            cfg = SystemConfig(**{
+                k: float.fromhex(v) if isinstance(v, str) else v
+                for k, v in values.items()
+            })
+            report = run_validation(cfg, trials=10_000)
+            assert [[s.name, s.status, s.detail] for s in report] == case["report"], cfg
 
 
 class TestExitCodeContract:
@@ -278,3 +307,15 @@ class TestExitCodeContract:
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("options, message", [
+        (["--trials", "-5"], "trials must be >= 1"),
+        (["--trials", "0"], "trials must be >= 1"),
+        (["--grid-points", "0"], "grid_points must be >= 1"),
+    ])
+    def test_bad_count_on_empty_domain_is_usage_error(self, options, message,
+                                                      tmp_path, capsys):
+        # every suite skips an empty domain, but the counts are still checked
+        argv = ["validate", _hopeless_scenario(tmp_path), *options]
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err

@@ -2,17 +2,25 @@
 
 sympy differentiates the decoding argument x = (ln 2)*omega*beta itself,
 so the hand-derived slope factors, d eps/d n = phi * factor with
-factor = (dx/dn)/ln 2, are held to a derivation that shares no code with
-them.  The uplink sees n through its blocklength and through
-gamma = eta/n; the downlink has a fixed SNR and n_dl = n_max - n_ul.
+factor = (dx/dn)/ln 2, and the derivative values built on them, are held
+to a derivation that shares no code with them.  The uplink sees n through
+its blocklength and through gamma = eta/n; the downlink has a fixed SNR
+and n_dl = n_max - n_ul.
 """
+
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import sympy as sp
 
-from clfbl.derivatives import _dl_slope_factor, _ul_slope_factor
+from clfbl.derivatives import (
+    _dl_slope_factor,
+    _ul_slope_factor,
+    d_eps_dl_dn,
+    d_eps_ul_dn,
+)
 from clfbl.energy import feasible_domain, snr_blocklength_product
 from clfbl.fbl import _link_quantities
 
@@ -68,6 +76,8 @@ class TestClosedForms:
 #: evaluated in 50-digit arithmetic
 _UL_SLOPE = sp.lambdify((n, eta, d, B), sp.diff(X.subs(UL), n) / sp.log(2), "mpmath")
 _DL_SLOPE = sp.lambdify((n, gamma, d, B), sp.diff(X, n) / sp.log(2), "mpmath")
+_UL_X = sp.lambdify((n, eta, d, B), X.subs(UL), "mpmath")
+_DL_X = sp.lambdify((n, gamma, d, B), X, "mpmath")
 
 _CONFIGS = [
     make_config(),
@@ -96,3 +106,46 @@ def test_slope_factors_match_symbolic_derivative(cfg):
             exact = float(_DL_SLOPE(n_dl, g_dl, cfg.d, cfg.B))
             assert factor == pytest.approx(exact, rel=1e-12), ("dl", n_ul)
 
+
+
+#: a short frame whose downlink decoding argument stays moderate, so that
+#: d eps_dl/d n_ul is a normal double at most points
+_SHORT_FRAME = make_config(E=1e-6, p_dl=5e-3, N=3e-3, n_max=100.0)
+
+
+def _reference_derivatives(cfg, n_ul):
+    """d eps_ul/d n_ul and d eps_dl/d n_ul as -Q'(x) * dx/dn in 50 digits,
+    rounded to doubles; the chain rule through n_dl = n_max - n_ul flips
+    the downlink sign."""
+    eta_f = snr_blocklength_product(cfg)
+    g_dl = cfg.p_dl * cfg.g_dl / cfg.N
+    n_dl = cfg.n_max - n_ul
+    with mpmath.workdps(50):
+        ln2 = mpmath.log(2)
+        x_ul = _UL_X(n_ul, eta_f, cfg.d, cfg.B)
+        x_dl = _DL_X(n_dl, g_dl, cfg.d, cfg.B)
+        ul = -mpmath.npdf(x_ul) * ln2 * _UL_SLOPE(n_ul, eta_f, cfg.d, cfg.B)
+        dl = mpmath.npdf(x_dl) * ln2 * _DL_SLOPE(n_dl, g_dl, cfg.d, cfg.B)
+        return float(ul), float(dl)
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS + [_SHORT_FRAME])
+def test_derivative_values_match_symbolic_reference(cfg):
+    # a value below the normal range carries fewer significant bits, so
+    # there the kernel is only required to have underflowed as well
+    dom = feasible_domain(cfg)
+    normal = {"ul": 0, "dl": 0}
+    for n_ul in np.linspace(dom.n_lo, dom.n_hi, 25).tolist():
+        ref_ul, ref_dl = _reference_derivatives(cfg, n_ul)
+        for side, value, ref in (
+            ("ul", d_eps_ul_dn(cfg, n_ul), ref_ul),
+            ("dl", d_eps_dl_dn(cfg, n_ul), ref_dl),
+        ):
+            if abs(ref) >= sys.float_info.min:
+                assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (side, n_ul)
+                normal[side] += 1
+            else:
+                assert abs(value) < sys.float_info.min, (side, n_ul)
+    if cfg is _SHORT_FRAME:
+        assert normal["dl"] >= 10
+    assert normal["ul"] > 0
