@@ -39,12 +39,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .derivatives import ScanReport
 from .energy import Infeasible
 from .experiments import (
     GENERATOR_ID,
     SweepRecord,
     config_digest,
-    grid_columns,
     record_at_noise,
     sweep_noise,
 )
@@ -71,6 +71,21 @@ def _fmt(value: float) -> str:
 
 #: one grid CSV row; "%.17g" formats exactly as f"{v:.17g}" does
 _GRID_ROW = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
+def grid_columns(cols: ScanReport) -> list[list]:
+    """The scan's grid CSV columns after ``noise_w``, as Python lists, in
+    header order: n_ul, eps_ul, eps_dl, eps_cl, d_eps_cl_dn,
+    sign_d_eps_cl_dn, d2_eps_cl_dn2."""
+    return [
+        cols.n_ul.tolist(),
+        cols.eps_ul.tolist(),
+        cols.eps_dl.tolist(),
+        cols.eps_cl.tolist(),
+        cols.d_eps_cl.tolist(),
+        cols.sign_d_eps_cl.tolist(),
+        cols.d2_eps_cl.tolist(),
+    ]
 
 
 def _grid_rows(record: SweepRecord) -> list[str]:

@@ -21,12 +21,19 @@ finite for any x, and second-derivative positivity of f = exp(g) is
 decided via the identity sign(f'') = sign(g'' + g'^2) with g = log eps
 evaluated by finite differences.
 
+The sign of d eps_cl/d n_ul needs no general signed-log sum, because
+the downlink term is always positive: the sum is negative only where
+the uplink term is negative (slope factor > 0) and its log-magnitude
+exceeds the downlink's, zero where the two finite log-magnitudes tie,
+and positive otherwise.  ``d_eps_cl_sign`` applies that rule in plain
+floats and ``_cl_sign`` applies it to arrays.
+
 There is one derivative kernel, in numpy arrays (``_ul_d_eps`` and
 ``_dl_d_eps``): the scan sums it, the validation suite reads it, and
 ``d_eps_ul_dn``/``d_eps_dl_dn`` are one-point calls of it.  The scalar
-``math`` path serves only the solver's sign kernel (``d_eps_cl_sign``
-and its two signed-log terms), whose bits ``tests/data/solve_golden.json``
-pins, and LinkState.  The slope factors are shared by both paths.
+``math`` path serves only the solver's sign kernel ``d_eps_cl_sign``,
+whose bits ``tests/data/solve_golden.json`` pins, and LinkState.  The
+slope factors are shared by both paths.
 """
 
 from __future__ import annotations
@@ -51,9 +58,6 @@ _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
 # log of the prefactor of |phi| = (ln 2)/sqrt(2*pi) * exp(-x^2/2)
 _LOG_PHI_COEFF = math.log(_LN2 / math.sqrt(2.0 * math.pi))
-
-SignedLog = tuple[int, float]  # (sign in {-1, 0, +1}, log of magnitude)
-
 
 # ---------------------------------------------------------------------------
 # link states under the coupling
@@ -104,24 +108,21 @@ class _LinkColumns(NamedTuple):
     x: np.ndarray
 
 
-def _link_columns(cfg: SystemConfig, n, gamma) -> tuple:
-    """The fields of :class:`_LinkColumns` as a plain tuple, which is
-    cheaper to build on the scalar path of the solver.
-
-    The numpy twin of ``fbl._link_quantities``, kept apart because
+def _link_columns(cfg: SystemConfig, n, gamma) -> _LinkColumns:
+    """The numpy twin of ``fbl._link_quantities``, kept apart because
     ``np.log1p`` and ``math.log1p`` round differently on some inputs."""
     cap = cfg.B * np.log1p(gamma) / _LN2
     disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
     omega = cap - cfg.d / n
     beta = np.sqrt(n / disp)
-    return n, gamma, cap, disp, omega, beta, _LN2 * omega * beta
+    return _LinkColumns(n, gamma, cap, disp, omega, beta, _LN2 * omega * beta)
 
 
-def _ul_link(cfg: SystemConfig, n_ul) -> tuple:
+def _ul_link(cfg: SystemConfig, n_ul) -> _LinkColumns:
     return _link_columns(cfg, n_ul, snr_blocklength_product(cfg) / n_ul)
 
 
-def _dl_link(cfg: SystemConfig, n_ul) -> tuple:
+def _dl_link(cfg: SystemConfig, n_ul) -> _LinkColumns:
     n_dl = cfg.n_max - n_ul
     if np.any(n_dl <= 0.0):
         raise ValueError(
@@ -131,32 +132,18 @@ def _dl_link(cfg: SystemConfig, n_ul) -> tuple:
     return _link_columns(cfg, n_dl, cfg.p_dl * cfg.g_dl / cfg.N)
 
 
-def _ul_x(cfg: SystemConfig, n_ul):
-    return _ul_link(cfg, n_ul)[-1]
-
-
-def _dl_x(cfg: SystemConfig, n_ul):
-    return _dl_link(cfg, n_ul)[-1]
-
-
-def _ul_log_eps(cfg: SystemConfig, n_ul):
-    return _log_ndtr(-_ul_x(cfg, n_ul))
-
-
-def _dl_log_eps(cfg: SystemConfig, n_ul):
-    return _log_ndtr(-_dl_x(cfg, n_ul))
-
-
 def _cl_log_eps(cfg: SystemConfig, n_ul):
-    return np.logaddexp(_ul_log_eps(cfg, n_ul), _dl_log_eps(cfg, n_ul))
+    return np.logaddexp(
+        _log_ndtr(-_ul_link(cfg, n_ul).x), _log_ndtr(-_dl_link(cfg, n_ul).x)
+    )
 
 
 def _ul_eps(cfg: SystemConfig, n_ul):
-    return 0.5 * _erfc(_ul_x(cfg, n_ul) / _SQRT2)
+    return 0.5 * _erfc(_ul_link(cfg, n_ul).x / _SQRT2)
 
 
 def _dl_eps(cfg: SystemConfig, n_ul):
-    return 0.5 * _erfc(_dl_x(cfg, n_ul) / _SQRT2)
+    return 0.5 * _erfc(_dl_link(cfg, n_ul).x / _SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +200,15 @@ def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
     """
     if not n_ul >= cfg.d:
         raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
-    ul = _LinkColumns(*_ul_link(cfg, np.array([n_ul], dtype=float)))
-    return float(_ul_d_eps(cfg, ul)[0][0])
+    return float(_ul_d_eps(cfg, _ul_link(cfg, np.array([n_ul], dtype=float)))[0][0])
 
 
 def d_eps_dl_dn(cfg: SystemConfig, n_ul: float) -> float:
     """Analytic d eps_dl / d n_ul; strictly positive for any gamma_dl > 0."""
     n_dl = cfg.n_max - n_ul
-    if not n_dl >= cfg.d:
+    if not n_ul <= cfg.n_max - cfg.d:  # the bound of feasible_domain, so n_hi passes
         raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
-    dl = _LinkColumns(*_dl_link(cfg, np.array([n_ul], dtype=float)))
-    return float(_dl_d_eps(cfg, dl)[0][0])
+    return float(_dl_d_eps(cfg, _dl_link(cfg, np.array([n_ul], dtype=float)))[0][0])
 
 
 def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
@@ -231,67 +216,37 @@ def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
     return d_eps_ul_dn(cfg, n_ul) + d_eps_dl_dn(cfg, n_ul)
 
 
-def d_eps_ul_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
-    """(sign, log|value|) of d eps_ul / d n_ul, exact under underflow; the
-    plain-float twin of ``_ul_d_eps``."""
+def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
+    """Sign of d eps_cl / d n_ul, robust to underflow of either term; the
+    solver's bisection kernel, in plain floats with no LinkState or erfc.
+    The sign rule is the one in the module docstring; the downlink term
+    is evaluated only where the uplink term is negative.
+    """
     if not n_ul >= cfg.d:
         raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
+    n_dl = cfg.n_max - n_ul
+    if not n_ul <= cfg.n_max - cfg.d:  # the bound of feasible_domain, so n_hi passes
+        raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
     gamma = snr_blocklength_product(cfg) / n_ul
     _, V, w, b, x = _link_quantities(n_ul, gamma, cfg.d, cfg.B)
     factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
-    if factor == 0.0:
-        return (0, -math.inf)
-    sign = -1 if factor > 0.0 else 1
-    return (sign, _LOG_PHI_COEFF - 0.5 * x * x + math.log(abs(factor)))
-
-
-def d_eps_dl_dn_signed_log(cfg: SystemConfig, n_ul: float) -> SignedLog:
-    """(sign, log|value|) of d eps_dl / d n_ul; the plain-float twin of
-    ``_dl_d_eps``."""
-    n_dl = cfg.n_max - n_ul
-    if not n_dl >= cfg.d:
-        raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
+    if not factor > 0.0:
+        return 1
+    log_ul = _LOG_PHI_COEFF - 0.5 * x * x + math.log(factor)
     cap, V, w, b, x = _link_quantities(n_dl, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
     log_bracket = math.log(cfg.d + cap * n_dl) - math.log(2.0 * b * V * n_dl)
-    return (1, _LOG_PHI_COEFF - 0.5 * x * x + log_bracket)
+    log_dl = _LOG_PHI_COEFF - 0.5 * x * x + log_bracket
+    if log_ul > log_dl:
+        return -1
+    return 0 if log_ul == log_dl > -math.inf else 1
 
 
-def signed_log_add(a: SignedLog, b: SignedLog) -> SignedLog:
-    """Sum of two signed log-magnitude numbers, without leaving log space."""
-    sa, la = a
-    sb, lb = b
-    if sa == 0 or la == -math.inf:
-        return b
-    if sb == 0 or lb == -math.inf:
-        return a
-    if sa == sb:
-        return (sa, float(np.logaddexp(la, lb)))
-    if la == lb:
-        return (0, -math.inf)
-    if la > lb:
-        return (sa, la + math.log1p(-math.exp(lb - la)))
-    return (sb, lb + math.log1p(-math.exp(la - lb)))
-
-
-def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
-    """Sign of d eps_cl / d n_ul, robust to underflow of either term; the
-    solver's bisection kernel, in plain floats with no LinkState or erfc."""
-    return signed_log_add(
-        d_eps_ul_dn_signed_log(cfg, n_ul), d_eps_dl_dn_signed_log(cfg, n_ul)
-    )[0]
-
-
-def _signed_log_sum_sign(sa, la, sb, lb) -> np.ndarray:
-    """Elementwise sign of signed_log_add((sa, la), (sb, lb)).
-
-    The same case analysis, applied from the last case to the first so
-    that the earlier cases take precedence.
-    """
-    sign = np.where(la > lb, sa, sb)
-    sign = np.where(la == lb, 0, sign)
-    sign = np.where(sa == sb, sa, sign)
-    sign = np.where((sb == 0) | (lb == -math.inf), sa, sign)
-    return np.where((sa == 0) | (la == -math.inf), sb, sign)
+def _cl_sign(sign_ul, log_ul, log_dl) -> np.ndarray:
+    """Elementwise sign of d eps_cl/d n_ul from the uplink term's sign and
+    the two log-magnitudes: the rule of :func:`d_eps_cl_sign`."""
+    negative = sign_ul < 0
+    tie = negative & (log_ul == log_dl) & (log_dl > -math.inf)
+    return np.where(negative & (log_ul > log_dl), -1, np.where(tie, 0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +383,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     round-trip checks, so recomputed values are bit-identical.
     """
     grid = np.asarray(points, dtype=float)
-    ul = _LinkColumns(*_ul_link(cfg, grid))
-    dl = _LinkColumns(*_dl_link(cfg, grid))
+    ul = _ul_link(cfg, grid)
+    dl = _dl_link(cfg, grid)
     x_ul = np.asarray(ul.x, dtype=float)
     x_dl = np.asarray(dl.x, dtype=float)
     log_ul = np.asarray(_log_ndtr(-x_ul), dtype=float)
@@ -440,9 +395,8 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
 
     # Richardson-extrapolated central differences of log eps_cl
     h = _fd_step(cfg, grid)
-    f = lambda pts: np.logaddexp(_ul_log_eps(cfg, pts), _dl_log_eps(cfg, pts))
-    f_p1, f_m1 = f(grid + h), f(grid - h)
-    f_p2, f_m2 = f(grid + 2.0 * h), f(grid - 2.0 * h)
+    f_p1, f_m1 = _cl_log_eps(cfg, grid + h), _cl_log_eps(cfg, grid - h)
+    f_p2, f_m2 = _cl_log_eps(cfg, grid + 2.0 * h), _cl_log_eps(cfg, grid - 2.0 * h)
     g1 = (4.0 * (f_p1 - f_m1) / (2.0 * h) - (f_p2 - f_m2) / (4.0 * h)) / 3.0
     g2 = (
         4.0 * (f_p1 - 2.0 * log_cl + f_m1) / h**2
@@ -464,7 +418,7 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
         log_eps_dl=log_dl,
         log_eps_cl=log_cl,
         d_eps_cl=d_eps_ul + d_eps_dl,
-        sign_d_eps_cl=_signed_log_sum_sign(sign_ul, log_d_ul, 1, log_d_dl),
+        sign_d_eps_cl=_cl_sign(sign_ul, log_d_ul, log_d_dl),
         d2_eps_cl=np.exp(log_cl) * indicator,
         convexity_indicator=indicator,
         saturated=saturated,

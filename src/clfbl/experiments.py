@@ -29,21 +29,6 @@ GENERATOR_ID = "numpy.random.Generator(PCG64)"
 _Z99 = 2.5758293035489004
 
 
-def grid_columns(cols: ScanReport) -> list[list]:
-    """The scan's grid CSV columns after ``noise_w``, as Python lists, in
-    header order: n_ul, eps_ul, eps_dl, eps_cl, d_eps_cl_dn,
-    sign_d_eps_cl_dn, d2_eps_cl_dn2."""
-    return [
-        cols.n_ul.tolist(),
-        cols.eps_ul.tolist(),
-        cols.eps_dl.tolist(),
-        cols.eps_cl.tolist(),
-        cols.d_eps_cl.tolist(),
-        cols.sign_d_eps_cl.tolist(),
-        cols.d2_eps_cl.tolist(),
-    ]
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     """Everything recorded for one noise level of a sweep."""

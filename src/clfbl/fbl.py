@@ -137,6 +137,12 @@ class SystemConfig:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
+        if 1.0 + self.p_dl * self.g_dl / self.N == 1.0:
+            raise ValueError(
+                f"downlink SNR p_dl*g_dl/N with p_dl={self.p_dl!r}, g_dl={self.g_dl!r}, "
+                f"N={self.N!r} is below double precision (1 + SNR == 1), which "
+                "leaves the channel dispersion at zero"
+            )
         if self.M < 1.0:
             raise ValueError(f"modulation order must be >= 1, got {self.M!r}")
         if not 0.0 < self.eps_max < 1.0:

@@ -74,7 +74,8 @@ class Scenario:
         if "n_max" not in values:
             values["n_max"] = values["f_s"] * values["M"] * values["T"]
         if not require_noise and "N" not in values:
-            # sweeps replace N per grid point; any positive placeholder works
+            # sweeps replace N per grid point by noise below p_dl, so every
+            # level has a higher downlink SNR than this placeholder
             values["N"] = values["p_dl"]
         kwargs = {k: values[k] for k in _MODEL_KEYS if k in values}
         try:

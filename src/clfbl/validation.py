@@ -57,8 +57,8 @@ def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> Suit
             "derivative_fidelity", "skipped", "infeasible: empty blocklength domain"
         )
     grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
-    ul = da._LinkColumns(*da._ul_link(cfg, grid))
-    dl = da._LinkColumns(*da._dl_link(cfg, grid))
+    ul = da._ul_link(cfg, grid)
+    dl = da._dl_link(cfg, grid)
     ok_ul = np.abs(ul.x) <= WELL_CONDITIONED_X
     ok_dl = np.abs(dl.x) <= WELL_CONDITIONED_X
     n_ul, n_dl = grid[ok_ul], grid[ok_dl]

@@ -51,10 +51,11 @@ from clfbl import (
 from clfbl.cli import main as cli_main
 from clfbl.derivatives import (
     _dl_eps,
+    _ul_d_eps,
     _ul_eps,
+    _ul_link,
     d_eps_dl_dn,
     d_eps_ul_dn,
-    d_eps_ul_dn_signed_log,
     dl_state,
     scan_columns,
     ul_state,
@@ -107,7 +108,7 @@ def test_criterion_1_domain_reproduction(table1_cfg):
 
 
 def _ul_slope_sign(cfg, n):
-    return d_eps_ul_dn_signed_log(cfg, float(n))[0]
+    return int(_ul_d_eps(cfg, _ul_link(cfg, np.array([float(n)])))[1][0])
 
 
 def _ul_slope_root(cfg, lo, hi):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import clfbl.derivatives
 from clfbl import (
     SystemConfig,
     convexity_scan,
@@ -25,14 +26,16 @@ from clfbl import (
 from clfbl.energy import Infeasible, snr_blocklength_product
 from clfbl.derivatives import (
     _LOG_PHI_COEFF,
+    _cl_sign,
+    _dl_d_eps,
     _dl_eps,
-    _signed_log_sum_sign,
+    _dl_link,
+    _dl_slope_factor,
+    _ul_d_eps,
     _ul_eps,
-    d_eps_dl_dn_signed_log,
-    d_eps_ul_dn_signed_log,
+    _ul_link,
     dl_state,
     scan_columns,
-    signed_log_add,
     ul_state,
 )
 
@@ -44,6 +47,24 @@ LN2 = math.log(2.0)
 
 def _eps_cl(cfg, n):
     return float(_ul_eps(cfg, n) + _dl_eps(cfg, n))
+
+
+def signed_log_add(a, b):
+    """Sum of two (sign, log|value|) numbers by the general case analysis:
+    the reference that the one sign rule of d eps_cl/d n_ul must match."""
+    sa, la = a
+    sb, lb = b
+    if sa == 0 or la == -math.inf:
+        return b
+    if sb == 0 or lb == -math.inf:
+        return a
+    if sa == sb:
+        return (sa, float(np.logaddexp(la, lb)))
+    if la == lb:
+        return (0, -math.inf)
+    if la > lb:
+        return (sa, la + math.log1p(-math.exp(lb - la)))
+    return (sb, lb + math.log1p(-math.exp(la - lb)))
 
 
 class TestFdOracle:
@@ -141,11 +162,13 @@ class TestDownlinkDerivative:
 
     def test_sign_positive_across_domain_grid(self, table1):
         # doubles underflow here (x_dl ~ 74), so positivity is asserted on
-        # the exact log-domain sign
+        # the downlink bracket, with a finite log-magnitude
         for n in np.linspace(9.0, 54.0, 100):
-            sign, log_mag = d_eps_dl_dn_signed_log(table1, float(n))
-            assert sign == 1
-            assert math.isfinite(log_mag)
+            dl = _dl_link(table1, np.array([n]))
+            value, log_mag = _dl_d_eps(table1, dl)
+            factor = _dl_slope_factor(table1, dl.n, dl.dispersion, dl.beta, dl.omega)
+            assert factor[0] > 0.0 and value[0] >= 0.0
+            assert math.isfinite(log_mag[0])
 
     def test_boundary_blocklength_evaluates(self, table1):
         value = d_eps_dl_dn(table1, table1.n_max - table1.d)
@@ -183,7 +206,8 @@ class TestDownlinkDerivative:
 class TestSignedLogs:
     def test_ul_signed_log_matches_double_value(self, table1):
         for n in (12.0, 20.0, 35.0, 50.0):
-            sign, log_mag = d_eps_ul_dn_signed_log(table1, n)
+            _, sign, log_mag = _ul_d_eps(table1, _ul_link(table1, np.array([n])))
+            sign, log_mag = int(sign[0]), float(log_mag[0])
             value = d_eps_ul_dn(table1, n)
             assert math.copysign(1.0, value) == sign or value == 0.0
             assert sign * math.exp(log_mag) == pytest.approx(value, rel=1e-12)
@@ -200,12 +224,41 @@ class TestSignedLogs:
         assert sign == 1 and math.exp(log_mag) == pytest.approx(5.0, rel=1e-12)
 
     def test_array_sign_matches_signed_log_add(self):
-        # every combination of signs and of equal, ordered and -inf logs
-        values = [(s, l) for s in (-1, 0, 1) for l in (-math.inf, -1.0, 2.0)]
-        pairs = [(a, b) for a in values for b in values]
-        sa, la, sb, lb = map(np.array, zip(*((*a, *b) for a, b in pairs)))
-        signs = _signed_log_sum_sign(sa, la, sb, lb)
-        assert signs.tolist() == [signed_log_add(a, b)[0] for a, b in pairs]
+        # every uplink sign with equal, ordered and -inf logs; the downlink
+        # term is positive
+        logs = (-math.inf, -1.0, 2.0)
+        triples = [(s, a, b) for s in (-1, 0, 1) for a in logs for b in logs]
+        sign_ul, log_ul, log_dl = map(np.array, zip(*triples))
+        signs = _cl_sign(sign_ul, log_ul, log_dl)
+        assert signs.tolist() == [
+            signed_log_add((s, a), (1, b))[0] for s, a, b in triples
+        ]
+
+    @pytest.mark.parametrize("d", [12.7, 10.1, 20.2])
+    def test_blocklength_bound_with_fractional_payload(self, table1, d):
+        # n_max - n_hi rounds below d here, yet n_hi = n_max - d is in the
+        # domain, so the payload check must take feasible_domain's form
+        cfg = dataclasses.replace(table1, d=d, N=1e-5)
+        n_hi = feasible_domain(cfg).n_hi
+        assert n_hi == cfg.n_max - d and cfg.n_max - n_hi < d
+        assert d_eps_cl_sign(cfg, n_hi) == 1
+        assert d_eps_dl_dn(cfg, n_hi) >= 0.0
+
+    def test_zero_uplink_factor_gives_positive_sign(self, table1, monkeypatch):
+        # where d eps_ul/d n_ul is exactly zero the downlink term decides
+        monkeypatch.setattr(
+            clfbl.derivatives, "_ul_slope_factor", lambda cfg, n, *rest: 0.0 * n
+        )
+        assert d_eps_cl_sign(table1, 20.0) == 1
+        assert scan_columns(table1, np.array([20.0])).sign_d_eps_cl.tolist() == [1]
+
+    def test_both_logs_underflowed_is_no_tie(self, table1, monkeypatch):
+        # log-magnitudes that are both -inf carry no tie: the positive
+        # downlink term still decides (uplink term negative at n_ul = 20)
+        assert d_eps_cl_sign(table1, 20.0) == -1
+        monkeypatch.setattr(clfbl.derivatives, "_LOG_PHI_COEFF", -math.inf)
+        assert d_eps_cl_sign(table1, 20.0) == 1
+        assert scan_columns(table1, np.array([20.0])).sign_d_eps_cl.tolist() == [1]
 
     def test_cl_sign_underflow_robust(self):
         # deep underflow of both links: the sign is still decided exactly
@@ -220,8 +273,8 @@ class TestSignedLogs:
         ul_bad = not n_ul >= table1.d
         dl_bad = not table1.n_max - n_ul >= table1.d
         for fn, bad in (
-            (d_eps_ul_dn_signed_log, ul_bad),
-            (d_eps_dl_dn_signed_log, dl_bad),
+            (d_eps_ul_dn, ul_bad),
+            (d_eps_dl_dn, dl_bad),
             (d_eps_cl_sign, ul_bad or dl_bad),
         ):
             if bad:
@@ -231,9 +284,10 @@ class TestSignedLogs:
                 fn(table1, n_ul)
 
 
-def _signed_logs_from_states(cfg, n):
-    """The scalar signs restated on the validated ul_state and dl_state,
-    with the slope factor and the log terms written out."""
+def _sign_from_states(cfg, n):
+    """The sign of d eps_cl/d n_ul restated on the validated ul_state and
+    dl_state, with the slope factor and the log terms written out and
+    summed by the general case analysis."""
     ul, dl = ul_state(cfg, n), dl_state(cfg, n)
     g, V, b = ul.gamma, ul.dispersion, ul.beta
     omega_p = cfg.d / n**2 - cfg.B * g / (LN2 * (1.0 + g) * n)
@@ -250,18 +304,13 @@ def _signed_logs_from_states(cfg, n):
         2.0 * dl.beta * dl.dispersion * dl.n
     )
     dl_log = (1, _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket)
-    return ul_log, dl_log, signed_log_add(ul_log, dl_log)[0]
+    return signed_log_add(ul_log, dl_log)[0]
 
 
 def _assert_scalar_kernel_parity(cfg, points) -> None:
     """The plain-float sign kernel equals its LinkState restatement exactly."""
     for n in points:
-        kernel = (
-            d_eps_ul_dn_signed_log(cfg, n),
-            d_eps_dl_dn_signed_log(cfg, n),
-            d_eps_cl_sign(cfg, n),
-        )
-        assert kernel == _signed_logs_from_states(cfg, n), (cfg, n)
+        assert d_eps_cl_sign(cfg, n) == _sign_from_states(cfg, n), (cfg, n)
 
 
 class TestDeltaTerm:

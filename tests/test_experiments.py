@@ -14,14 +14,10 @@ from clfbl import (
     solve,
     sweep_noise,
 )
+from clfbl.cli import grid_columns
 from clfbl.derivatives import scan_columns
 from clfbl.energy import Infeasible
-from clfbl.experiments import (
-    GENERATOR_ID,
-    config_digest,
-    grid_columns,
-    record_at_noise,
-)
+from clfbl.experiments import GENERATOR_ID, config_digest, record_at_noise
 from clfbl.validation import approximation_gap_suite, derivative_fidelity_suite
 
 from conftest import make_config

@@ -250,6 +250,12 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             make_config(**overrides)
 
+    def test_downlink_snr_below_precision_rejected(self):
+        # 1 + gamma_dl == 1 leaves the dispersion 1 - (1+gamma)^-2 at zero
+        with pytest.raises(ValueError, match=r"p_dl=0\.01, g_dl=1e-17, N=0\.003"):
+            make_config(g_dl=1e-17)
+        make_config(g_dl=1e-13)  # 1 + 3.3e-13 is still above 1
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "key",

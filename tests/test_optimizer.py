@@ -15,6 +15,7 @@ from clfbl import (
     OptimizerCase,
     SystemConfig,
     check_feasibility,
+    convexity_scan,
     d_eps_cl_dn,
     feasible_domain,
     grid_search_oracle,
@@ -26,6 +27,7 @@ from clfbl import (
 from clfbl.energy import Infeasible
 from clfbl.derivatives import _cl_log_eps
 from clfbl.optimizer import NotConvexError
+from clfbl.validation import derivative_fidelity_suite
 
 from conftest import make_config
 
@@ -360,3 +362,35 @@ def test_solver_equals_oracle(d, M, log_E, log_N, log_snr_dl, n_max):
     assert isinstance(result, Infeasible) == isinstance(oracle, Infeasible)
     if not isinstance(oracle, Infeasible):
         assert result.n_ul == oracle or _objective_tie(cfg, result.n_ul, oracle)
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda v: 10.0**v)
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(
+    d=_log_uniform(1.0, 200.0),
+    f_s=_log_uniform(1.0, 1e9),
+    M=_log_uniform(1.0, 7.0),
+    E=_log_uniform(1e-15, 1.0),
+    p_dl=_log_uniform(1e-12, 1e3),
+    N=_log_uniform(1e-12, 1e3),
+    n_max=_log_uniform(2.0, 2e5),
+    g_ul=_log_uniform(1e-20, 1e2),
+    g_dl=_log_uniform(1e-20, 1e2),
+    B=_log_uniform(1e-3, 1e3),
+)
+def test_every_valid_config_runs(**values):
+    # a config is either rejected where it is built, or solve, the scan
+    # and the fidelity suite run on it without an exception or a
+    # RuntimeWarning (pytest turns those into errors)
+    try:
+        cfg = SystemConfig(**values)
+    except ValueError:
+        event("rejected")
+        return
+    event("empty" if feasible_domain(cfg).empty else "feasible")
+    solve(cfg)
+    convexity_scan(cfg, 50)
+    derivative_fidelity_suite(cfg)

@@ -15,11 +15,11 @@ from clfbl.cli import (
     EXIT_VALIDATION,
     GRID_HEADER,
     SUMMARY_HEADER,
+    grid_columns,
     main,
 )
 from clfbl import SystemConfig
 from clfbl.derivatives import scan_columns
-from clfbl.experiments import grid_columns
 from clfbl.scenario import (
     ScenarioError,
     TABLE1_VALUES,
@@ -263,13 +263,17 @@ class TestValidateCommand:
         assert "infeasible" in out
 
 
+def _table1_scenario(directory, name: str, **changes) -> str:
+    """A scenario file of the table1 values with some of them changed."""
+    values = {**TABLE1_VALUES, **changes}
+    path = directory / f"{name}.scn"
+    path.write_text("".join(f"{key}={value!r}\n" for key, value in values.items()))
+    return str(path)
+
+
 def _hopeless_scenario(directory) -> str:
     """table1 values with N = 0.1, which leaves the domain empty."""
-    path = directory / "hopeless.scn"
-    path.write_text(
-        "d=8\nf_s=250e3\nM=1\nE=0.65e-6\np_dl=10e-3\nN=0.1\nn_max=2500\n"
-    )
-    return str(path)
+    return _table1_scenario(directory, "hopeless", N=0.1)
 
 
 class TestValidateGolden:
@@ -319,3 +323,24 @@ class TestExitCodeContract:
         argv = ["validate", _hopeless_scenario(tmp_path), *options]
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("d", [12.7, 10.1, 20.2])
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["validate", "--trials", "10000"]], ids=["solve", "validate"]
+    )
+    def test_fractional_payload_at_blocklength_bound(self, d, argv, tmp_path, capsys):
+        # n_hi = n_max - d is feasible although n_max - n_hi rounds below d
+        path = _table1_scenario(tmp_path, "fractional", d=d, N=1e-5)
+        assert main([argv[0], path, *argv[1:]]) == EXIT_OK
+        if argv[0] == "validate":
+            assert "PASS optimizer_vs_oracle" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "case-study", "sweep", "validate"])
+    def test_zero_dispersion_downlink_is_usage_error(self, command, tmp_path,
+                                                     monkeypatch, capsys):
+        # 1 + p_dl*g_dl/N == 1 in double precision: no downlink error model
+        monkeypatch.chdir(tmp_path)
+        assert main([command, _table1_scenario(tmp_path, "deaf", g_dl=1e-17)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "p_dl=0.01" in err and "g_dl=1e-17" in err and "N=0.003" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["deaf.scn"]
