@@ -81,6 +81,30 @@ class MonteCarloResult:
         return self.ci_low <= self.analytic_r_loop <= self.ci_high
 
 
+#: uniforms drawn per block where the outcome of a draw is not decided
+_CHUNK = 1 << 16
+
+
+def _successes(rng: np.random.Generator, draws: int, p: float) -> int:
+    """Count of ``rng.random(draws) < p``, leaving rng where that leaves it.
+
+    Outside 0 < p < 1 every uniform in [0, 1) decides the same way (a NaN
+    p fails all of them, as ``u < nan`` does), so the stream is advanced
+    past the draws instead: PCG64 spends one 64-bit output per double.
+    Otherwise blocks of at most ``_CHUNK`` uniforms are drawn into one
+    buffer, so memory does not grow with ``draws``.
+    """
+    if not 0.0 < p < 1.0:
+        rng.bit_generator.advance(draws)
+        return draws if p >= 1.0 else 0
+    buf = np.empty(min(draws, _CHUNK))
+    hits = 0
+    for start in range(0, draws, _CHUNK):
+        u = rng.random(out=buf[: min(_CHUNK, draws - start)])
+        hits += int(np.count_nonzero(u < p))
+    return hits
+
+
 def monte_carlo_validate(
     cfg: SystemConfig, n_ul: float, trials: int, seed: int
 ) -> MonteCarloResult:
@@ -88,7 +112,11 @@ def monte_carlo_validate(
 
     Each trial first draws the uplink decoding outcome; the downlink coin
     is drawn only for trials whose uplink succeeded (the product law
-    makes this equivalent to unconditional simulation).  Returns the
+    makes this equivalent to unconditional simulation).  Where a success
+    probability is 0 or 1 the draws are skipped by advancing the stream,
+    and otherwise they are counted in fixed-size blocks, so the counts
+    equal a one-shot ``rng.random(trials)`` draw from the same seed and
+    memory does not depend on ``trials``.  Returns the
     success fraction with a 99% normal-approximation confidence interval;
     at estimates of exactly 0 or 1, where the normal interval degenerates
     to a point, the exact Clopper-Pearson bound is substituted.
@@ -99,9 +127,8 @@ def monte_carlo_validate(
     eps_ul = ul_state(cfg, n_ul).eps
     eps_dl = dl_state(cfg, n_ul).eps
     rng = np.random.default_rng(seed)
-    ul_ok = rng.random(trials) < (1.0 - eps_ul)
-    n_ul_ok = int(ul_ok.sum())
-    loop_ok = int((rng.random(n_ul_ok) < (1.0 - eps_dl)).sum())
+    n_ul_ok = _successes(rng, trials, 1.0 - eps_ul)
+    loop_ok = _successes(rng, n_ul_ok, 1.0 - eps_dl)
     estimate = loop_ok / trials
     if estimate == 0.0:
         ci_low, ci_high = 0.0, 1.0 - 0.005 ** (1.0 / trials)

@@ -73,7 +73,8 @@ class Scenario:
             )
         if "n_max" not in values:
             values["n_max"] = values["f_s"] * values["M"] * values["T"]
-        if not require_noise and "N" not in values:
+        placeholder = not require_noise and "N" not in values
+        if placeholder:
             # sweeps replace N per grid point by noise below p_dl, so every
             # level has a higher downlink SNR than this placeholder
             values["N"] = values["p_dl"]
@@ -81,7 +82,9 @@ class Scenario:
         try:
             return SystemConfig(**kwargs)
         except ValueError as exc:
-            raise ScenarioError(f"invalid scenario: {exc}") from exc
+            note = (" (no N given: the sweep checks the model at N = p_dl, "
+                    "above every noise level it visits)") if placeholder else ""
+            raise ScenarioError(f"invalid scenario: {exc}{note}") from exc
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:

@@ -1,9 +1,11 @@
 """Case study, sweeps, and oracle machinery."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clfbl import (
     SystemConfig,
@@ -17,7 +19,13 @@ from clfbl import (
 from clfbl.cli import grid_columns
 from clfbl.derivatives import scan_columns
 from clfbl.energy import Infeasible
-from clfbl.experiments import GENERATOR_ID, config_digest, record_at_noise
+import clfbl.experiments as experiments
+from clfbl.experiments import (
+    GENERATOR_ID,
+    _successes,
+    config_digest,
+    record_at_noise,
+)
 from clfbl.validation import approximation_gap_suite, derivative_fidelity_suite
 
 from conftest import make_config
@@ -139,6 +147,108 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self, table1):
         with pytest.raises(ValueError):
             monte_carlo_validate(table1, 20.0, 0, seed=0)
+
+
+def _one_shot(rng, draws, p):
+    """The Monte Carlo draw as one array: the reference for `_successes`."""
+    return int((rng.random(draws) < p).sum())
+
+
+def _one_shot_loop(eps_ul, eps_dl, trials, seed):
+    """Loop successes of the one-shot Monte Carlo draw, and its generator."""
+    rng = np.random.default_rng(seed)
+    ul_ok = rng.random(trials) < (1.0 - eps_ul)
+    n_ul_ok = int(ul_ok.sum())
+    loop_ok = int((rng.random(n_ul_ok) < (1.0 - eps_dl)).sum())
+    return loop_ok, rng
+
+
+#: error rates at and next to both ends of [0, 1] where 1 - eps rounds
+EDGE_EPS = (0.0, 1e-300, 5e-17, 1.1e-16, 1e-12, 1e-3, 0.5, 1.0 - 2.0**-53, 1.0)
+#: draw counts around the 65,536-uniform block size
+EDGE_DRAWS = (0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 5)
+
+
+def _spy_generators(monkeypatch):
+    """Record every generator made by np.random.default_rng."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def spy(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return made
+
+
+class TestMonteCarloStream:
+    """Counts and generator state equal those of the one-shot draw."""
+
+    @pytest.mark.parametrize("draws", EDGE_DRAWS)
+    @pytest.mark.parametrize("eps", EDGE_EPS)
+    def test_successes_match_one_shot(self, eps, draws):
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        assert _successes(rng, draws, 1.0 - eps) == _one_shot(ref, draws, 1.0 - eps)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("p", [float("nan"), -0.5, 1.5])
+    def test_successes_outside_unit_interval(self, p):
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        assert _successes(rng, 70_000, p) == _one_shot(ref, 70_000, p)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_uniform_equal_to_p_fails(self):
+        # a drawn uniform equal to p is not below it
+        p = float(np.random.default_rng(4).random(65_540)[65_538])
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        assert _successes(rng, 65_540, p) == _one_shot(ref, 65_540, p)
+
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(
+        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        draws=st.integers(0, 200_000),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_successes_property(self, p, draws, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert _successes(rng, draws, p) == _one_shot(ref, draws, p)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("trials", EDGE_DRAWS[1:])
+    def test_validate_matches_one_shot(self, table1, trials, monkeypatch):
+        made = _spy_generators(monkeypatch)
+        for eps_ul in EDGE_EPS:
+            for eps_dl in EDGE_EPS:
+                monkeypatch.setattr(experiments, "ul_state",
+                                    lambda cfg, n: SimpleNamespace(eps=eps_ul))
+                monkeypatch.setattr(experiments, "dl_state",
+                                    lambda cfg, n: SimpleNamespace(eps=eps_dl))
+                mc = monte_carlo_validate(table1, 20.0, trials, seed=9)
+                loop_ok, ref = _one_shot_loop(eps_ul, eps_dl, trials, 9)
+                assert mc.estimate == loop_ok / trials, (eps_ul, eps_dl)
+                assert made[-1].bit_generator.state == ref.bit_generator.state
+
+    def test_table1_sweep_at_full_trials(self, table1, monkeypatch):
+        # every field at 1e6 trials, which spans 16 blocks of uniforms
+        for record in sweep_noise(table1, 50, grid_points=2):
+            cfg = make_config(N=record.noise)
+            chunked = monte_carlo_validate(cfg, record.result.n_ul, 10**6, seed=0)
+            with monkeypatch.context() as patch:
+                patch.setattr(experiments, "_successes", _one_shot)
+                one_shot = monte_carlo_validate(cfg, record.result.n_ul, 10**6, seed=0)
+            assert chunked == one_shot, record.noise
+
+    def test_memory_flat_in_trials(self, table1):
+        # the one-shot draw peaks at 38 MiB here, in arrays of 4e6 doubles and masks
+        n_ul = solve(table1).n_ul
+        tracemalloc.start()
+        try:
+            monte_carlo_validate(table1, n_ul, 4_000_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestApproximationAudit:

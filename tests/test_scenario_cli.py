@@ -344,3 +344,18 @@ class TestExitCodeContract:
         err = capsys.readouterr().err
         assert "p_dl=0.01" in err and "g_dl=1e-17" in err and "N=0.003" in err
         assert [p.name for p in tmp_path.iterdir()] == ["deaf.scn"]
+
+    def test_placeholder_noise_is_not_reported_as_input(self, tmp_path,
+                                                        monkeypatch, capsys):
+        # with no N the sweep checks the model at N = p_dl; the message must
+        # say that it filled N in, not present N=0.01 as the user's value
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "no_noise.scn"
+        values = {k: v for k, v in TABLE1_VALUES.items() if k != "N"}
+        values["g_dl"] = 1e-20
+        path.write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
+        assert main(["sweep", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "N=0.01 is below double precision" in err
+        assert "no N given: the sweep checks the model at N = p_dl" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["no_noise.scn"]
