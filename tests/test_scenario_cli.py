@@ -1,6 +1,7 @@
 """Scenario parsing, CSV emission, exit codes, and the validate command."""
 
 import dataclasses
+import importlib.util
 import json
 from pathlib import Path
 
@@ -290,6 +291,20 @@ class TestValidateGolden:
             })
             report = run_validation(cfg, trials=10_000)
             assert [[s.name, s.status, s.detail] for s in report] == case["report"], cfg
+
+
+class TestSweepGolden:
+    def test_output_bytes_pinned(self, tmp_path):
+        # exit code and sha256 of every sweep and case-study output file on
+        # table1 and on table1 with E = 6.5e-8 (10 of 50 levels empty),
+        # written by tests/data/make_sweep_golden.py
+        spec = importlib.util.spec_from_file_location(
+            "make_sweep_golden", GOLDEN_DIR / "make_sweep_golden.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        expected = json.loads((GOLDEN_DIR / "sweep_golden.json").read_text())
+        assert module.all_cases(tmp_path) == expected
 
 
 class TestExitCodeContract:
