@@ -39,14 +39,15 @@ slope factors are shared by both paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
 from .fbl import LinkState, SystemConfig, _link_quantities
 from .energy import (
+    DomainBounds,
     Infeasible,
     feasible_domain,
     snr_blocklength_product,
@@ -108,33 +109,54 @@ class _LinkColumns(NamedTuple):
     x: np.ndarray
 
 
+class _Noise(NamedTuple):
+    """The noise-dependent link inputs eta = gamma_ul*n_ul and gamma_dl =
+    p_dl*g_dl/N: floats for one config, or (levels, 1) columns."""
+
+    eta: float | np.ndarray
+    gamma_dl: float | np.ndarray
+
+
+def _noise(cfg: SystemConfig) -> _Noise:
+    return _Noise(snr_blocklength_product(cfg), cfg.p_dl * cfg.g_dl / cfg.N)
+
+
+def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
+    return _Noise(*(np.array(column)[:, None] for column in zip(*map(_noise, cfgs))))
+
+
 def _link_columns(cfg: SystemConfig, n, gamma) -> _LinkColumns:
     """The numpy twin of ``fbl._link_quantities``, kept apart because
-    ``np.log1p`` and ``math.log1p`` round differently on some inputs."""
+    ``np.log1p`` and ``math.log1p`` round differently on some inputs.
+    ``np.square``, unlike ``float ** 2`` (``pow``), rounds a float gamma
+    as it rounds an array."""
     cap = cfg.B * np.log1p(gamma) / _LN2
-    disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
+    disp = 1.0 - 1.0 / np.square(1.0 + gamma)
     omega = cap - cfg.d / n
     beta = np.sqrt(n / disp)
     return _LinkColumns(n, gamma, cap, disp, omega, beta, _LN2 * omega * beta)
 
 
-def _ul_link(cfg: SystemConfig, n_ul) -> _LinkColumns:
-    return _link_columns(cfg, n_ul, snr_blocklength_product(cfg) / n_ul)
+def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
+    eta = _noise(cfg).eta if noise is None else noise.eta
+    return _link_columns(cfg, n_ul, eta / n_ul)
 
 
-def _dl_link(cfg: SystemConfig, n_ul) -> _LinkColumns:
+def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
     n_dl = cfg.n_max - n_ul
     if np.any(n_dl <= 0.0):
         raise ValueError(
             f"downlink blocklength must stay positive, got n_ul={n_ul!r} "
             f"with n_max={cfg.n_max!r}"
         )
-    return _link_columns(cfg, n_dl, cfg.p_dl * cfg.g_dl / cfg.N)
+    gamma_dl = _noise(cfg).gamma_dl if noise is None else noise.gamma_dl
+    return _link_columns(cfg, n_dl, gamma_dl)
 
 
-def _cl_log_eps(cfg: SystemConfig, n_ul):
+def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):
     return np.logaddexp(
-        _log_ndtr(-_ul_link(cfg, n_ul).x), _log_ndtr(-_dl_link(cfg, n_ul).x)
+        _log_ndtr(-_ul_link(cfg, n_ul, noise).x),
+        _log_ndtr(-_dl_link(cfg, n_ul, noise).x),
     )
 
 
@@ -316,8 +338,8 @@ class ScanReport:
     underflows to 0.0 exactly where eps_cl does.
 
     :func:`scan_columns` fills the pointwise columns at any blocklengths;
-    only :func:`convexity_scan`, which owns a sorted domain grid, fills
-    ``violations``.
+    only :func:`scan_levels` (and :func:`convexity_scan`, its one-level
+    case), which owns sorted domain grids, fills ``violations``.
     """
 
     n_ul: np.ndarray
@@ -369,7 +391,9 @@ class ScanReport:
 _STENCIL_FLOOR = 1e-12
 
 
-def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
+def scan_columns(
+    cfg: SystemConfig, points: np.ndarray, noise: _Noise | None = None
+) -> ScanReport:
     """Evaluate every scan column at the given blocklengths.
 
     One array evaluation over all points, with no per-point Python loop:
@@ -379,12 +403,14 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     ``_dl_d_eps``, with its exact log-space sign.  That sign equals
     :func:`d_eps_cl_sign` at every point.
 
-    The same code path serves full-grid scans and single-point CSV
-    round-trip checks, so recomputed values are bit-identical.
+    ``points`` is 1-D at cfg's own noise, or a (levels, points) grid with
+    ``noise`` as (levels, 1) columns of configs sharing cfg's d, B and
+    n_max.  Every operation is elementwise, so each row, and each single
+    point recomputed, equals a one-level call bit for bit.
     """
     grid = np.asarray(points, dtype=float)
-    ul = _ul_link(cfg, grid)
-    dl = _dl_link(cfg, grid)
+    ul = _ul_link(cfg, grid, noise)
+    dl = _dl_link(cfg, grid, noise)
     x_ul = np.asarray(ul.x, dtype=float)
     x_dl = np.asarray(dl.x, dtype=float)
     log_ul = np.asarray(_log_ndtr(-x_ul), dtype=float)
@@ -395,8 +421,9 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
 
     # Richardson-extrapolated central differences of log eps_cl
     h = _fd_step(cfg, grid)
-    f_p1, f_m1 = _cl_log_eps(cfg, grid + h), _cl_log_eps(cfg, grid - h)
-    f_p2, f_m2 = _cl_log_eps(cfg, grid + 2.0 * h), _cl_log_eps(cfg, grid - 2.0 * h)
+    f_p1, f_m1 = _cl_log_eps(cfg, grid + h, noise), _cl_log_eps(cfg, grid - h, noise)
+    f_p2 = _cl_log_eps(cfg, grid + 2.0 * h, noise)
+    f_m2 = _cl_log_eps(cfg, grid - 2.0 * h, noise)
     g1 = (4.0 * (f_p1 - f_m1) / (2.0 * h) - (f_p2 - f_m2) / (4.0 * h)) / 3.0
     g2 = (
         4.0 * (f_p1 - 2.0 * log_cl + f_m1) / h**2
@@ -425,6 +452,12 @@ def scan_columns(cfg: SystemConfig, points: np.ndarray) -> ScanReport:
     )
 
 
+#: most grid points evaluated in one array pass: ``scan_levels`` takes
+#: whole noise levels in blocks of about this size, so a sweep's working
+#: memory does not grow with its number of levels
+_BLOCK_POINTS = 2000
+
+
 def convexity_scan(
     cfg: SystemConfig, grid_points: int = 200
 ) -> ScanReport | Infeasible:
@@ -434,38 +467,69 @@ def convexity_scan(
     non-increasing, eps_dl strictly increasing, and the second derivative
     of eps_cl positive at every grid point that is not ``saturated``.
     Violations are reported with their coordinates; an empty domain
-    yields an Infeasible marker.
+    yields an Infeasible marker.  The one-level case of
+    :func:`scan_levels`.
+    """
+    return scan_levels([cfg], grid_points)[0]
+
+
+def scan_levels(
+    cfgs: Sequence[SystemConfig], grid_points: int = 200
+) -> list[ScanReport | Infeasible]:
+    """:func:`convexity_scan` of each config, in blocked array passes.
+
+    The configs may differ in any field that enters only through eta or
+    the downlink SNR (the noise levels of a sweep); d, B and n_max must
+    be shared.  Levels with an empty domain get their Infeasible marker;
+    the others are scanned in blocks of whole levels, each block one
+    :func:`scan_columns` call over a (levels, grid_points) grid.
     """
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
-    dom = feasible_domain(cfg)
-    if dom.empty:
-        return Infeasible("empty blocklength domain", dom)
-    grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
-    cols = scan_columns(cfg, grid)
-    log_ul, log_dl = cols.log_eps_ul, cols.log_eps_dl
-    indicator = cols.convexity_indicator
+    if len({(cfg.d, cfg.B, cfg.n_max) for cfg in cfgs}) > 1:
+        raise ValueError("scan_levels needs configs that share d, B and n_max")
+    doms = [feasible_domain(cfg) for cfg in cfgs]
+    scans = [Infeasible("empty blocklength domain", dom) for dom in doms]
+    live = [i for i, dom in enumerate(doms) if not dom.empty]
+    per_block = max(1, _BLOCK_POINTS // grid_points)
+    for start in range(0, len(live), per_block):
+        block = live[start : start + per_block]
+        reports = _scan_block(
+            [cfgs[i] for i in block], [doms[i] for i in block], grid_points
+        )
+        for i, report in zip(block, reports):
+            scans[i] = report
+    return scans
 
-    violations: list[ScanViolation] = []
-    dlog_ul = np.diff(log_ul)
-    dlog_dl = np.diff(log_dl)
-    for i in np.flatnonzero(dlog_ul > 0.0):
-        violations.append(
-            ScanViolation("ul_not_nonincreasing", float(grid[i + 1]), float(dlog_ul[i]))
-        )
-    for i in np.flatnonzero(~(dlog_dl > 0.0)):
-        violations.append(
-            ScanViolation(
-                "dl_not_strictly_increasing", float(grid[i + 1]), float(dlog_dl[i])
-            )
-        )
-    for i in np.flatnonzero(~(indicator > 0.0) & ~cols.saturated):
-        violations.append(
-            ScanViolation(
-                "cl_second_derivative_not_positive",
-                float(grid[i]),
-                float(indicator[i]),
-            )
-        )
 
-    return replace(cols, violations=tuple(violations))
+def _scan_block(
+    cfgs: list[SystemConfig], doms: list[DomainBounds], grid_points: int
+) -> list[ScanReport]:
+    """One array pass over the domain grids of several levels, split into
+    one ScanReport per level with that level's violations."""
+    n_lo = np.array([dom.n_lo for dom in doms])[:, None]
+    n_hi = np.array([dom.n_hi for dom in doms])[:, None]
+    # np.linspace row by row; given arrays of bounds, it rounds every row
+    # another way as soon as one row has zero width
+    grid = np.arange(grid_points) * ((n_hi - n_lo) / max(grid_points - 1, 1)) + n_lo
+    if grid_points > 1:
+        grid[:, -1:] = n_hi
+    cols = scan_columns(cfgs[0], grid, _noise_columns(cfgs))
+
+    dlog_ul = np.diff(cols.log_eps_ul, axis=1)
+    dlog_dl = np.diff(cols.log_eps_dl, axis=1)
+    ind = cols.convexity_indicator
+    found: list[list[ScanViolation]] = [[] for _ in cfgs]
+    for kind, bad, n_ul, value in (
+        ("ul_not_nonincreasing", dlog_ul > 0.0, grid[:, 1:], dlog_ul),
+        ("dl_not_strictly_increasing", ~(dlog_dl > 0.0), grid[:, 1:], dlog_dl),
+        ("cl_second_derivative_not_positive", ~(ind > 0.0) & ~cols.saturated, grid, ind),
+    ):
+        rows = np.nonzero(bad)[0].tolist()
+        for row, n, v in zip(rows, n_ul[bad].tolist(), value[bad].tolist()):
+            found[row].append(ScanViolation(kind, n, v))
+    names = [f.name for f in fields(ScanReport)][:-1]  # all but violations
+    return [
+        ScanReport(*[getattr(cols, name)[row] for name in names], tuple(violations))
+        for row, violations in enumerate(found)
+    ]

@@ -3,7 +3,10 @@
 The sweep covers the noise power range (0, p_dl) on a logarithmic grid
 with inclusive endpoints p_dl*1e-4 and p_dl*(1-1e-3); per noise level it
 records the feasible domain, the solved allocation, and a grid scan of
-the loop error and its derivative structure.  The seeded Monte Carlo
+the loop error and its derivative structure.  The scans of all levels
+run as a few 2-D array passes, one per block of whole levels
+(:func:`~clfbl.derivatives.scan_levels`); each level is solved on its
+own, by the scalar bisection.  The seeded Monte Carlo
 simulation is intentionally independent of the optimizer's code path;
 the exhaustive integer oracle lives in :mod:`clfbl.optimizer`, which
 also falls back on it where eps_cl is not convex.
@@ -19,7 +22,7 @@ import numpy as np
 
 from .fbl import SystemConfig
 from .energy import DomainBounds, Infeasible, feasible_domain
-from .derivatives import ScanReport, convexity_scan, dl_state, ul_state
+from .derivatives import ScanReport, convexity_scan, dl_state, scan_levels, ul_state
 from .optimizer import SolveResult, solve
 
 #: RNG algorithm recorded in Monte Carlo results for reproducibility
@@ -41,8 +44,11 @@ class SweepRecord:
 
 def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
     """Sweep record for cfg's own noise level."""
+    return _record(cfg, convexity_scan(cfg, grid_points))
+
+
+def _record(cfg: SystemConfig, scan: ScanReport | Infeasible) -> SweepRecord:
     dom = feasible_domain(cfg)
-    scan = convexity_scan(cfg, grid_points)
     if isinstance(scan, Infeasible):
         return SweepRecord(cfg.N, dom, scan, scan)
     return SweepRecord(cfg.N, dom, solve(cfg), scan)
@@ -58,11 +64,10 @@ def noise_grid(p_dl: float, n_points: int) -> np.ndarray:
 def sweep_noise(
     cfg: SystemConfig, n_points: int = 50, grid_points: int = 200
 ) -> list[SweepRecord]:
-    """Per-noise records over the standard (0, p_dl) logarithmic grid."""
-    return [
-        record_at_noise(replace(cfg, N=float(noise)), grid_points)
-        for noise in noise_grid(cfg.p_dl, n_points)
-    ]
+    """Per-noise records over the standard (0, p_dl) logarithmic grid;
+    the levels are scanned together, then solved one by one."""
+    cfgs = [replace(cfg, N=float(noise)) for noise in noise_grid(cfg.p_dl, n_points)]
+    return [_record(c, scan) for c, scan in zip(cfgs, scan_levels(cfgs, grid_points))]
 
 
 @dataclass(frozen=True)

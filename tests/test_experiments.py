@@ -1,5 +1,6 @@
 """Case study, sweeps, and oracle machinery."""
 
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,8 +18,8 @@ from clfbl import (
     sweep_noise,
 )
 from clfbl.cli import grid_columns
-from clfbl.derivatives import scan_columns
-from clfbl.energy import Infeasible
+from clfbl.derivatives import ScanReport, convexity_scan, scan_columns, scan_levels
+from clfbl.energy import Infeasible, feasible_domain
 import clfbl.experiments as experiments
 from clfbl.experiments import (
     GENERATOR_ID,
@@ -97,6 +98,121 @@ class TestNoiseSweep:
             assert len(record.scan.n_ul) == 15
             for n_ul in record.scan.n_ul.tolist():
                 assert record.domain.n_lo <= n_ul <= record.domain.n_hi
+
+
+def _bits(scan: ScanReport) -> dict:
+    """Every field of a scan, floats as their bit patterns."""
+    out = {}
+    for f in dataclasses.fields(ScanReport):
+        value = getattr(scan, f.name)
+        if f.name == "violations":
+            out[f.name] = [(v.kind, v.n_ul.hex(), v.value.hex()) for v in value]
+        elif value.dtype == np.float64:
+            out[f.name] = (value.shape, value.view(np.uint64).tolist())
+        else:
+            out[f.name] = (value.shape, value.dtype.str, value.tolist())
+    return out
+
+
+def _one_level_violations(cols: ScanReport) -> list[tuple[str, str, str]]:
+    """The violation rules of a one-level scan, applied to 1-D columns."""
+    grid, indicator = cols.n_ul, cols.convexity_indicator
+    dlog_ul, dlog_dl = np.diff(cols.log_eps_ul), np.diff(cols.log_eps_dl)
+    found = [("ul_not_nonincreasing", grid[i + 1], dlog_ul[i])
+             for i in np.flatnonzero(dlog_ul > 0.0)]
+    found += [("dl_not_strictly_increasing", grid[i + 1], dlog_dl[i])
+              for i in np.flatnonzero(~(dlog_dl > 0.0))]
+    found += [("cl_second_derivative_not_positive", grid[i], indicator[i])
+              for i in np.flatnonzero(~(indicator > 0.0) & ~cols.saturated)]
+    return [(kind, float(n).hex(), float(v).hex()) for kind, n, v in found]
+
+
+def _eta_nine_at_level_15() -> SystemConfig:
+    """table1 with E chosen so that the domain of sweep level 15 is the
+    single point n_ul = 9 (eta = 9 exactly); it shares a block with
+    levels 10-14, which have domains of full width."""
+    return make_config(E=6.034749992697404e-10)
+
+
+class TestBlockedSweep:
+    """The sweep scans its levels in blocks of (levels, points) grids; each
+    level must equal a standalone scan and solve of that level, bit for bit."""
+
+    @pytest.mark.parametrize("cfg, levels, grid_points", [
+        (make_config(), 50, 200),
+        (make_config(E=6.5e-8), 50, 200),
+        (make_config(), 50, 1),
+        (make_config(), 50, 2),
+        (_eta_nine_at_level_15(), 50, 200),
+        # a weak downlink: violations of all three kinds
+        (make_config(g_dl=1e-6), 50, 200),
+    ], ids=["table1", "E6.5e-8", "table1-1pt", "table1-2pt", "one-point-domain",
+            "weak-downlink"])
+    def test_levels_equal_standalone_scan_and_solve(self, cfg, levels, grid_points):
+        records = sweep_noise(cfg, levels, grid_points)
+        assert len(records) == levels
+        for record, noise in zip(records, noise_grid(cfg.p_dl, levels)):
+            level = dataclasses.replace(cfg, N=float(noise))
+            assert record.noise == level.N
+            assert record.domain == feasible_domain(level)
+            alone = convexity_scan(level, grid_points)
+            if record.domain.empty:
+                assert isinstance(record.scan, Infeasible)
+                assert record.result is record.scan
+                assert record.scan == alone
+                assert record.scan.reason == "empty blocklength domain"
+                continue
+            assert _bits(record.scan) == _bits(alone)
+            assert repr(record.result) == repr(solve(level))
+            # the grid of np.linspace and the 1-D columns at scalar noise
+            dom = record.domain
+            grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
+            one_d = scan_columns(level, grid)
+            assert _bits(record.scan) == _bits(one_d) | {
+                "violations": _one_level_violations(one_d)}
+
+    def test_mixed_configs_cover_both_kinds_of_level(self):
+        empty = [r.domain.empty for r in sweep_noise(make_config(E=6.5e-8), 50, 2)]
+        assert sum(empty) == 10
+        records = sweep_noise(_eta_nine_at_level_15(), 50, 3)
+        assert [r.domain.empty for r in records] == [False] * 16 + [True] * 34
+        assert records[15].domain.n_lo == records[15].domain.n_hi == 9.0
+        assert records[15].scan.n_ul.tolist() == [9.0, 9.0, 9.0]
+        kinds = {v.kind for r in sweep_noise(make_config(g_dl=1e-6), 50, 200)
+                 for v in r.scan.violations}
+        assert len(kinds) == 3
+
+    def test_table1_violation_count(self, table1):
+        records = sweep_noise(table1, 50, 200)
+        assert sum(len(r.scan.violations) for r in records) == 2534
+
+    def test_zero_grid_points_rejected_with_every_level_empty(self):
+        cfg = make_config(E=1e-12)
+        assert all(r.domain.empty for r in sweep_noise(cfg, 50, 1))
+        with pytest.raises(ValueError, match="grid_points must be >= 1"):
+            sweep_noise(cfg, 50, 0)
+
+    def test_levels_must_share_the_non_noise_fields(self, table1):
+        with pytest.raises(ValueError, match="share d, B and n_max"):
+            scan_levels([table1, make_config(n_max=2400.0)], 10)
+
+    def test_memory_flat_in_levels(self, table1):
+        # what the sweep holds at its peak beyond the records it returns is
+        # one block of levels, whatever the number of levels; a single
+        # pass over 50 levels of 200 points would hold about 1.9 MiB
+        sweep_noise(table1, 2, 200)
+        overhead = {}
+        for levels in (50, 400):
+            tracemalloc.start()
+            try:
+                records = sweep_noise(table1, levels, 200)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(records) == levels
+            overhead[levels] = peak - kept
+        assert overhead[400] < overhead[50] + 2**18
+        assert overhead[400] < 2**20
 
 
 class TestGridSearchOracle:
