@@ -489,7 +489,10 @@ def scan_levels(
     if len({(cfg.d, cfg.B, cfg.n_max) for cfg in cfgs}) > 1:
         raise ValueError("scan_levels needs configs that share d, B and n_max")
     doms = [feasible_domain(cfg) for cfg in cfgs]
-    scans = [Infeasible("empty blocklength domain", dom) for dom in doms]
+    scans: list[ScanReport | Infeasible | None] = [
+        Infeasible("empty blocklength domain", dom) if dom.empty else None
+        for dom in doms
+    ]
     live = [i for i, dom in enumerate(doms) if not dom.empty]
     per_block = max(1, _BLOCK_POINTS // grid_points)
     for start in range(0, len(live), per_block):
@@ -528,7 +531,7 @@ def _scan_block(
         rows = np.nonzero(bad)[0].tolist()
         for row, n, v in zip(rows, n_ul[bad].tolist(), value[bad].tolist()):
             found[row].append(ScanViolation(kind, n, v))
-    names = [f.name for f in fields(ScanReport)][:-1]  # all but violations
+    names = [f.name for f in fields(ScanReport) if f.name != "violations"]
     return [
         ScanReport(*[getattr(cols, name)[row] for name in names], tuple(violations))
         for row, violations in enumerate(found)
