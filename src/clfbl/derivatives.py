@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
-from .fbl import LinkState, SystemConfig, _link_quantities
+from .fbl import LinkState, SystemConfig, _link_quantities, dispersion
 from .energy import (
     DomainBounds,
     Infeasible,
@@ -110,36 +110,38 @@ class _LinkColumns(NamedTuple):
 
 
 class _Noise(NamedTuple):
-    """The noise-dependent link inputs eta = gamma_ul*n_ul and gamma_dl =
-    p_dl*g_dl/N: floats for one config, or (levels, 1) columns."""
+    """The noise-dependent link inputs: eta = gamma_ul*n_ul, the downlink
+    SNR gamma_dl = p_dl*g_dl/N and its dispersion.  Floats for one config,
+    or (levels, 1) columns of those floats.  The dispersion is taken per
+    config in floats, as ``fbl.dispersion`` takes it: ``float ** 2``
+    calls ``pow``, which can round otherwise than numpy's square."""
 
     eta: float | np.ndarray
     gamma_dl: float | np.ndarray
+    disp_dl: float | np.ndarray
 
 
 def _noise(cfg: SystemConfig) -> _Noise:
-    return _Noise(snr_blocklength_product(cfg), cfg.p_dl * cfg.g_dl / cfg.N)
+    gamma_dl = cfg.p_dl * cfg.g_dl / cfg.N
+    return _Noise(snr_blocklength_product(cfg), gamma_dl, dispersion(gamma_dl))
 
 
 def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
     return _Noise(*(np.array(column)[:, None] for column in zip(*map(_noise, cfgs))))
 
 
-def _link_columns(cfg: SystemConfig, n, gamma) -> _LinkColumns:
+def _link_columns(cfg: SystemConfig, n, gamma, disp) -> _LinkColumns:
     """The numpy twin of ``fbl._link_quantities``, kept apart because
-    ``np.log1p`` and ``math.log1p`` round differently on some inputs.
-    ``np.square``, unlike ``float ** 2`` (``pow``), rounds a float gamma
-    as it rounds an array."""
+    ``np.log1p`` and ``math.log1p`` round differently on some inputs."""
     cap = cfg.B * np.log1p(gamma) / _LN2
-    disp = 1.0 - 1.0 / np.square(1.0 + gamma)
     omega = cap - cfg.d / n
     beta = np.sqrt(n / disp)
     return _LinkColumns(n, gamma, cap, disp, omega, beta, _LN2 * omega * beta)
 
 
 def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
-    eta = _noise(cfg).eta if noise is None else noise.eta
-    return _link_columns(cfg, n_ul, eta / n_ul)
+    gamma = (_noise(cfg) if noise is None else noise).eta / n_ul
+    return _link_columns(cfg, n_ul, gamma, 1.0 - 1.0 / (1.0 + gamma) ** 2)
 
 
 def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
@@ -149,8 +151,8 @@ def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColum
             f"downlink blocklength must stay positive, got n_ul={n_ul!r} "
             f"with n_max={cfg.n_max!r}"
         )
-    gamma_dl = _noise(cfg).gamma_dl if noise is None else noise.gamma_dl
-    return _link_columns(cfg, n_dl, gamma_dl)
+    noise = _noise(cfg) if noise is None else noise
+    return _link_columns(cfg, n_dl, noise.gamma_dl, noise.disp_dl)
 
 
 def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):

@@ -1,12 +1,14 @@
 """Case study, sweeps, and oracle machinery."""
 
 import dataclasses
+import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import log_ndtr
 
 from clfbl import (
     SystemConfig,
@@ -20,6 +22,7 @@ from clfbl import (
 from clfbl.cli import grid_columns
 from clfbl.derivatives import ScanReport, convexity_scan, scan_columns, scan_levels
 from clfbl.energy import Infeasible, feasible_domain
+from clfbl.fbl import dispersion
 import clfbl.experiments as experiments
 from clfbl.experiments import (
     GENERATOR_ID,
@@ -181,6 +184,20 @@ class TestBlockedSweep:
         kinds = {v.kind for r in sweep_noise(make_config(g_dl=1e-6), 50, 200)
                  for v in r.scan.violations}
         assert len(kinds) == 3
+
+    def test_downlink_dispersion_is_the_float_expression(self):
+        # at sweep level 36 of g_dl = 0.7841, float ** 2 (libm pow) and
+        # numpy's square round (1 + gamma_dl)^2 apart, and the dispersion
+        # with them; the scan keeps the float expression of fbl.dispersion
+        cfg = make_config(g_dl=0.7841)
+        record = sweep_noise(cfg, 50, 200)[36]
+        gamma = cfg.p_dl * cfg.g_dl / record.noise
+        assert dispersion(gamma) != 1.0 - 1.0 / np.square(1.0 + gamma)
+        n_dl = cfg.n_max - record.scan.n_ul
+        omega = cfg.B * np.log1p(gamma) / math.log(2.0) - cfg.d / n_dl
+        x = math.log(2.0) * omega * np.sqrt(n_dl / dispersion(gamma))
+        expected = log_ndtr(-x).view(np.uint64).tolist()
+        assert record.scan.log_eps_dl.view(np.uint64).tolist() == expected
 
     def test_table1_violation_count(self, table1):
         records = sweep_noise(table1, 50, 200)
