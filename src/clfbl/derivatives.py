@@ -140,7 +140,7 @@ def _link_columns(cfg: SystemConfig, n, gamma, disp) -> _LinkColumns:
 
 
 def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
-    gamma = (_noise(cfg) if noise is None else noise).eta / n_ul
+    gamma = (snr_blocklength_product(cfg) if noise is None else noise.eta) / n_ul
     return _link_columns(cfg, n_ul, gamma, 1.0 - 1.0 / (1.0 + gamma) ** 2)
 
 
