@@ -72,20 +72,14 @@ def _fmt(value: float) -> str:
 #: one grid CSV row; "%.17g" formats exactly as f"{v:.17g}" does
 _GRID_ROW = "%s,%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
 
+#: the ScanReport columns of a grid CSV row after ``noise_w``, in header order
+_GRID_COLUMNS = ("n_ul", "eps_ul", "eps_dl", "eps_cl", "d_eps_cl", "sign_d_eps_cl",
+                 "d2_eps_cl")
+
 
 def grid_columns(cols: ScanReport) -> list[list]:
-    """The scan's grid CSV columns after ``noise_w``, as Python lists, in
-    header order: n_ul, eps_ul, eps_dl, eps_cl, d_eps_cl_dn,
-    sign_d_eps_cl_dn, d2_eps_cl_dn2."""
-    return [
-        cols.n_ul.tolist(),
-        cols.eps_ul.tolist(),
-        cols.eps_dl.tolist(),
-        cols.eps_cl.tolist(),
-        cols.d_eps_cl.tolist(),
-        cols.sign_d_eps_cl.tolist(),
-        cols.d2_eps_cl.tolist(),
-    ]
+    """The scan's grid CSV columns after ``noise_w``, as Python lists."""
+    return [getattr(cols, name).tolist() for name in _GRID_COLUMNS]
 
 
 def _grid_rows(record: SweepRecord) -> list[str]:

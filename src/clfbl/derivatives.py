@@ -32,20 +32,22 @@ There is one derivative kernel, in numpy arrays (``_ul_d_eps`` and
 ``_dl_d_eps``): the scan sums it, the validation suite reads it, and
 ``d_eps_ul_dn``/``d_eps_dl_dn`` are one-point calls of it.  The scalar
 ``math`` path serves only the solver's sign kernel ``d_eps_cl_sign``,
-whose bits ``tests/data/solve_golden.json`` pins, and LinkState.  The
-slope factors are shared by both paths.
+whose bits ``tests/data/solve_golden.json`` pins, and LinkState.  Both
+paths share the slope factors and square 1 + gamma as a product.  The
+scan and ``fd_derivative`` share one Richardson stencil, ``_richardson``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
-from .fbl import LinkState, SystemConfig, _link_quantities, dispersion
+from .fbl import LinkState, SystemConfig, _link_quantities
 from .energy import (
     DomainBounds,
     Infeasible,
@@ -110,30 +112,28 @@ class _LinkColumns(NamedTuple):
 
 
 class _Noise(NamedTuple):
-    """The noise-dependent link inputs: eta = gamma_ul*n_ul, the downlink
-    SNR gamma_dl = p_dl*g_dl/N and its dispersion.  Floats for one config,
-    or (levels, 1) columns of those floats.  The dispersion is taken per
-    config in floats, as ``fbl.dispersion`` takes it: ``float ** 2``
-    calls ``pow``, which can round otherwise than numpy's square."""
+    """The noise-dependent link inputs: eta = gamma_ul*n_ul and the downlink
+    SNR gamma_dl = p_dl*g_dl/N.  Floats for one config, or (levels, 1)
+    columns of those floats."""
 
     eta: float | np.ndarray
     gamma_dl: float | np.ndarray
-    disp_dl: float | np.ndarray
 
 
 def _noise(cfg: SystemConfig) -> _Noise:
-    gamma_dl = cfg.p_dl * cfg.g_dl / cfg.N
-    return _Noise(snr_blocklength_product(cfg), gamma_dl, dispersion(gamma_dl))
+    return _Noise(snr_blocklength_product(cfg), cfg.p_dl * cfg.g_dl / cfg.N)
 
 
 def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
     return _Noise(*(np.array(column)[:, None] for column in zip(*map(_noise, cfgs))))
 
 
-def _link_columns(cfg: SystemConfig, n, gamma, disp) -> _LinkColumns:
+def _link_columns(cfg: SystemConfig, n, gamma) -> _LinkColumns:
     """The numpy twin of ``fbl._link_quantities``, kept apart because
-    ``np.log1p`` and ``math.log1p`` round differently on some inputs."""
+    ``np.log1p`` and ``math.log1p`` round differently on some inputs.  Its
+    dispersion is the same product, so both give the same bits."""
     cap = cfg.B * np.log1p(gamma) / _LN2
+    disp = 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
     omega = cap - cfg.d / n
     beta = np.sqrt(n / disp)
     return _LinkColumns(n, gamma, cap, disp, omega, beta, _LN2 * omega * beta)
@@ -141,7 +141,7 @@ def _link_columns(cfg: SystemConfig, n, gamma, disp) -> _LinkColumns:
 
 def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
     gamma = (snr_blocklength_product(cfg) if noise is None else noise.eta) / n_ul
-    return _link_columns(cfg, n_ul, gamma, 1.0 - 1.0 / (1.0 + gamma) ** 2)
+    return _link_columns(cfg, n_ul, gamma)
 
 
 def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
@@ -152,7 +152,7 @@ def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColum
             f"with n_max={cfg.n_max!r}"
         )
     noise = _noise(cfg) if noise is None else noise
-    return _link_columns(cfg, n_dl, noise.gamma_dl, noise.disp_dl)
+    return _link_columns(cfg, n_dl, noise.gamma_dl)
 
 
 def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):
@@ -283,6 +283,17 @@ def _fd_step(cfg: SystemConfig, n_ul):
     return np.minimum(np.maximum(1e-4, 1e-3 * n_ul), (cfg.n_max - n_ul) / 4.0)
 
 
+def _richardson(f_m2, f_m1, f_0, f_p1, f_p2, h):
+    """First and second central differences of f from f(n - 2h) .. f(n + 2h),
+    Richardson-extrapolated from the steps h and 2h."""
+    d1 = (4.0 * (f_p1 - f_m1) / (2.0 * h) - (f_p2 - f_m2) / (4.0 * h)) / 3.0
+    d2 = (
+        4.0 * (f_p1 - 2.0 * f_0 + f_m1) / (h * h)
+        - (f_p2 - 2.0 * f_0 + f_m2) / (4.0 * (h * h))
+    ) / 3.0
+    return d1, d2
+
+
 def fd_derivative(
     f: Callable[[float], float], n: float, order: int, h: float | None = None
 ) -> float:
@@ -297,14 +308,9 @@ def fd_derivative(
         raise ValueError(f"order must be 1 or 2, got {order!r}")
     if h is None:
         h = max(1e-4, 1e-3 * n)
-    if order == 1:
-        d_h = (f(n + h) - f(n - h)) / (2.0 * h)
-        d_2h = (f(n + 2.0 * h) - f(n - 2.0 * h)) / (4.0 * h)
-        return (4.0 * d_h - d_2h) / 3.0
-    f0 = f(n)
-    d_h = (f(n + h) - 2.0 * f0 + f(n - h)) / h**2
-    d_2h = (f(n + 2.0 * h) - 2.0 * f0 + f(n - 2.0 * h)) / (4.0 * h**2)
-    return (4.0 * d_h - d_2h) / 3.0
+    f_0 = f(n) if order == 2 else 0.0  # the first difference never reads f(n)
+    d1, d2 = _richardson(f(n - 2.0 * h), f(n - h), f_0, f(n + h), f(n + 2.0 * h), h)
+    return d1 if order == 1 else d2
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +345,8 @@ class ScanReport:
     ``d2_eps_cl`` reconstructs eps_cl'' = eps_cl * indicator, which
     underflows to 0.0 exactly where eps_cl does.
 
-    :func:`scan_columns` fills the pointwise columns at any blocklengths;
-    only :func:`scan_levels` (and :func:`convexity_scan`, its one-level
-    case), which owns sorted domain grids, fills ``violations``.
+    ``violations`` is read off the columns on first access, so a scan
+    whose verdicts nobody asks for builds no violation records.
     """
 
     n_ul: np.ndarray
@@ -356,7 +361,24 @@ class ScanReport:
     d2_eps_cl: np.ndarray
     convexity_indicator: np.ndarray
     saturated: np.ndarray  # bool: log eps_cl flat to rounding on the stencil
-    violations: tuple[ScanViolation, ...] = ()
+
+    @cached_property
+    def violations(self) -> tuple[ScanViolation, ...]:
+        """Read off the columns of a 1-D grid, each kind in grid order: intervals
+        (at their right end) where eps_ul increases, then where eps_dl does not
+        strictly increase, then unsaturated points whose indicator is not > 0."""
+        dlog_ul, dlog_dl = np.diff(self.log_eps_ul), np.diff(self.log_eps_dl)
+        ind = self.convexity_indicator
+        return tuple(
+            ScanViolation(kind, n, v)
+            for kind, bad, n_ul, value in (
+                ("ul_not_nonincreasing", dlog_ul > 0.0, self.n_ul[1:], dlog_ul),
+                ("dl_not_strictly_increasing", ~(dlog_dl > 0.0), self.n_ul[1:], dlog_dl),
+                ("cl_second_derivative_not_positive", ~(ind > 0.0) & ~self.saturated,
+                 self.n_ul, ind),
+            )
+            for n, v in zip(n_ul[bad].tolist(), value[bad].tolist())
+        )
 
     def violations_of(self, kind: str) -> tuple[ScanViolation, ...]:
         return tuple(v for v in self.violations if v.kind == kind)
@@ -413,24 +435,16 @@ def scan_columns(
     grid = np.asarray(points, dtype=float)
     ul = _ul_link(cfg, grid, noise)
     dl = _dl_link(cfg, grid, noise)
-    x_ul = np.asarray(ul.x, dtype=float)
-    x_dl = np.asarray(dl.x, dtype=float)
-    log_ul = np.asarray(_log_ndtr(-x_ul), dtype=float)
-    log_dl = np.asarray(_log_ndtr(-x_dl), dtype=float)
+    log_ul, log_dl = _log_ndtr(-ul.x), _log_ndtr(-dl.x)
     log_cl = np.logaddexp(log_ul, log_dl)
-    eps_ul = np.asarray(0.5 * _erfc(x_ul / _SQRT2), dtype=float)
-    eps_dl = np.asarray(0.5 * _erfc(x_dl / _SQRT2), dtype=float)
+    eps_ul, eps_dl = 0.5 * _erfc(ul.x / _SQRT2), 0.5 * _erfc(dl.x / _SQRT2)
 
     # Richardson-extrapolated central differences of log eps_cl
     h = _fd_step(cfg, grid)
     f_p1, f_m1 = _cl_log_eps(cfg, grid + h, noise), _cl_log_eps(cfg, grid - h, noise)
     f_p2 = _cl_log_eps(cfg, grid + 2.0 * h, noise)
     f_m2 = _cl_log_eps(cfg, grid - 2.0 * h, noise)
-    g1 = (4.0 * (f_p1 - f_m1) / (2.0 * h) - (f_p2 - f_m2) / (4.0 * h)) / 3.0
-    g2 = (
-        4.0 * (f_p1 - 2.0 * log_cl + f_m1) / h**2
-        - (f_p2 - 2.0 * log_cl + f_m2) / (4.0 * h**2)
-    ) / 3.0
+    g1, g2 = _richardson(f_m2, f_m1, log_cl, f_p1, f_p2, h)
     indicator = g2 + g1**2
     stencil = np.stack([f_m2, f_m1, log_cl, f_p1, f_p2])
     saturated = (stencil.max(axis=0) - stencil.min(axis=0)) < _STENCIL_FLOOR
@@ -491,27 +505,25 @@ def scan_levels(
     if len({(cfg.d, cfg.B, cfg.n_max) for cfg in cfgs}) > 1:
         raise ValueError("scan_levels needs configs that share d, B and n_max")
     doms = [feasible_domain(cfg) for cfg in cfgs]
-    scans: list[ScanReport | Infeasible | None] = [
-        Infeasible("empty blocklength domain", dom) if dom.empty else None
+    live = [(cfg, dom) for cfg, dom in zip(cfgs, doms) if not dom.empty]
+    per_block = max(1, _BLOCK_POINTS // grid_points)
+    reports = iter([
+        report
+        for start in range(0, len(live), per_block)
+        for report in _scan_block(live[start : start + per_block], grid_points)
+    ])
+    return [
+        Infeasible("empty blocklength domain", dom) if dom.empty else next(reports)
         for dom in doms
     ]
-    live = [i for i, dom in enumerate(doms) if not dom.empty]
-    per_block = max(1, _BLOCK_POINTS // grid_points)
-    for start in range(0, len(live), per_block):
-        block = live[start : start + per_block]
-        reports = _scan_block(
-            [cfgs[i] for i in block], [doms[i] for i in block], grid_points
-        )
-        for i, report in zip(block, reports):
-            scans[i] = report
-    return scans
 
 
 def _scan_block(
-    cfgs: list[SystemConfig], doms: list[DomainBounds], grid_points: int
+    levels: list[tuple[SystemConfig, DomainBounds]], grid_points: int
 ) -> list[ScanReport]:
     """One array pass over the domain grids of several levels, split into
-    one ScanReport per level with that level's violations."""
+    one ScanReport per level."""
+    cfgs, doms = zip(*levels)
     n_lo = np.array([dom.n_lo for dom in doms])[:, None]
     n_hi = np.array([dom.n_hi for dom in doms])[:, None]
     # np.linspace row by row; given arrays of bounds, it rounds every row
@@ -520,21 +532,7 @@ def _scan_block(
     if grid_points > 1:
         grid[:, -1:] = n_hi
     cols = scan_columns(cfgs[0], grid, _noise_columns(cfgs))
-
-    dlog_ul = np.diff(cols.log_eps_ul, axis=1)
-    dlog_dl = np.diff(cols.log_eps_dl, axis=1)
-    ind = cols.convexity_indicator
-    found: list[list[ScanViolation]] = [[] for _ in cfgs]
-    for kind, bad, n_ul, value in (
-        ("ul_not_nonincreasing", dlog_ul > 0.0, grid[:, 1:], dlog_ul),
-        ("dl_not_strictly_increasing", ~(dlog_dl > 0.0), grid[:, 1:], dlog_dl),
-        ("cl_second_derivative_not_positive", ~(ind > 0.0) & ~cols.saturated, grid, ind),
-    ):
-        rows = np.nonzero(bad)[0].tolist()
-        for row, n, v in zip(rows, n_ul[bad].tolist(), value[bad].tolist()):
-            found[row].append(ScanViolation(kind, n, v))
-    names = [f.name for f in fields(ScanReport) if f.name != "violations"]
     return [
-        ScanReport(*[getattr(cols, name)[row] for name in names], tuple(violations))
-        for row, violations in enumerate(found)
+        ScanReport(*[getattr(cols, f.name)[row] for f in fields(ScanReport)])
+        for row in range(len(cfgs))
     ]

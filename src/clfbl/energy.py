@@ -75,13 +75,8 @@ def feasible_domain(cfg: SystemConfig) -> DomainBounds:
     """
     eta = snr_blocklength_product(cfg)
     n_lo = max(9.0, cfg.d)
-    blocklength_cap = cfg.n_max - cfg.d
-    if eta <= blocklength_cap:
-        n_hi = eta
-        binding = UpperBound.SNR_BOUND
-    else:
-        n_hi = blocklength_cap
-        binding = UpperBound.BLOCKLENGTH_BOUND
+    n_hi = min(eta, cfg.n_max - cfg.d)
+    binding = UpperBound.SNR_BOUND if n_hi == eta else UpperBound.BLOCKLENGTH_BOUND
     return DomainBounds(
         n_lo=n_lo, n_hi=n_hi, eta=eta, binding_hi=binding, empty=n_lo > n_hi
     )

@@ -65,8 +65,15 @@ def sweep_noise(
     cfg: SystemConfig, n_points: int = 50, grid_points: int = 200
 ) -> list[SweepRecord]:
     """Per-noise records over the standard (0, p_dl) logarithmic grid;
-    the levels are scanned together, then solved one by one."""
-    cfgs = [replace(cfg, N=float(noise)) for noise in noise_grid(cfg.p_dl, n_points)]
+    the levels are scanned together, then solved one by one.  A level
+    that the model rejects is named as a level of the sweep."""
+    cfgs = []
+    for noise in noise_grid(cfg.p_dl, n_points).tolist():
+        try:
+            cfgs.append(replace(cfg, N=noise))
+        except ValueError as exc:
+            raise ValueError(f"{exc} (N={noise!r} is a noise level of the "
+                             "sweep over [p_dl*1e-4, p_dl*(1-1e-3)])") from exc
     return [_record(c, scan) for c, scan in zip(cfgs, scan_levels(cfgs, grid_points))]
 
 

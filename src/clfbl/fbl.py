@@ -25,6 +25,9 @@ from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
 _SQRT2 = math.sqrt(2.0)
 _LN2 = math.log(2.0)
+#: largest SNR a config may imply: the uplink slope factor cubes 1 + SNR,
+#: which overflows a double near 5.6e102
+_SNR_MAX = 1e100
 
 
 def q_function(x: float) -> float:
@@ -66,11 +69,12 @@ def capacity(gamma: float, B: float = 1.0) -> float:
 def dispersion(gamma: float) -> float:
     """AWGN channel dispersion V = 1 - (1+gamma)^-2, in [0, 1).
 
-    Algebraically identical to (gamma^2 + 2*gamma) / (1+gamma)^2.
+    Algebraically identical to (gamma^2 + 2*gamma) / (1+gamma)^2.  The
+    square is a product, which rounds as numpy's square does.
     """
     if gamma < 0.0:
         raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    return 1.0 - 1.0 / (1.0 + gamma) ** 2
+    return 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
 
 
 def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float, ...]:
@@ -81,7 +85,7 @@ def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float,
     ``np.log1p`` differ in the last bit on about 7% of the table1 sweep's
     uplink SNRs, and ``tests/data/solve_golden.json`` pins this side."""
     cap = B * math.log1p(gamma) / _LN2
-    disp = 1.0 - 1.0 / (1.0 + gamma) ** 2
+    disp = 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
     omega = cap - d / n
     beta = math.sqrt(n / disp)
     return cap, disp, omega, beta, _LN2 * omega * beta
@@ -137,12 +141,22 @@ class SystemConfig:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        if 1.0 + self.p_dl * self.g_dl / self.N == 1.0:
+        gamma_dl = self.p_dl * self.g_dl / self.N
+        if 1.0 + gamma_dl == 1.0:
             raise ValueError(
                 f"downlink SNR p_dl*g_dl/N with p_dl={self.p_dl!r}, g_dl={self.g_dl!r}, "
                 f"N={self.N!r} is below double precision (1 + SNR == 1), which "
                 "leaves the channel dispersion at zero"
             )
+        eta = self.E * self.M * self.f_s * self.g_ul / self.N
+        for snr_name, keys, value in (
+            ("uplink SNR eta/d = E*M*f_s*g_ul/(N*d)", "E M f_s g_ul N d", eta / self.d),
+            ("downlink SNR p_dl*g_dl/N", "p_dl g_dl N", gamma_dl),
+        ):
+            if value > _SNR_MAX:
+                given = ", ".join(f"{k}={getattr(self, k)!r}" for k in keys.split())
+                raise ValueError(f"{snr_name} with {given} is {value:.3g}, above the "
+                                 f"largest SNR the error model evaluates, {_SNR_MAX:g}")
         if self.M < 1.0:
             raise ValueError(f"modulation order must be >= 1, got {self.M!r}")
         if not 0.0 < self.eps_max < 1.0:

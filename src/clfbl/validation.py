@@ -195,14 +195,14 @@ def run_validation(
 ) -> list[SuiteResult]:
     """Run every suite; on an empty domain each one is skipped.
 
-    The counts are checked first, so that they are rejected whether or
-    not the domain is empty.  The scan and the solve are computed once and
-    shared by the suites that read them.
+    The counts and the seed are checked first, so that they are rejected
+    whether or not the domain is empty.  The scan and the solve are
+    computed once and shared by the suites that read them.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
-    if grid_points < 1:
-        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
+    for name, value, least in (("trials", trials, 1), ("grid_points", grid_points, 1),
+                               ("seed", seed, 0)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value!r}")
     scan = da.convexity_scan(cfg, grid_points)
     result = solve(cfg)
     return [

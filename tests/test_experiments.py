@@ -20,9 +20,15 @@ from clfbl import (
     sweep_noise,
 )
 from clfbl.cli import grid_columns
-from clfbl.derivatives import ScanReport, convexity_scan, scan_columns, scan_levels
+from clfbl.derivatives import (
+    ScanReport,
+    _link_columns,
+    convexity_scan,
+    scan_columns,
+    scan_levels,
+)
 from clfbl.energy import Infeasible, feasible_domain
-from clfbl.fbl import dispersion
+from clfbl.fbl import _link_quantities, dispersion
 import clfbl.experiments as experiments
 from clfbl.experiments import (
     GENERATOR_ID,
@@ -108,13 +114,15 @@ def _bits(scan: ScanReport) -> dict:
     out = {}
     for f in dataclasses.fields(ScanReport):
         value = getattr(scan, f.name)
-        if f.name == "violations":
-            out[f.name] = [(v.kind, v.n_ul.hex(), v.value.hex()) for v in value]
-        elif value.dtype == np.float64:
+        if value.dtype == np.float64:
             out[f.name] = (value.shape, value.view(np.uint64).tolist())
         else:
             out[f.name] = (value.shape, value.dtype.str, value.tolist())
     return out
+
+
+def _violation_bits(scan: ScanReport) -> list[tuple[str, str, str]]:
+    return [(v.kind, v.n_ul.hex(), v.value.hex()) for v in scan.violations]
 
 
 def _one_level_violations(cols: ScanReport) -> list[tuple[str, str, str]]:
@@ -166,13 +174,14 @@ class TestBlockedSweep:
                 assert record.scan.reason == "empty blocklength domain"
                 continue
             assert _bits(record.scan) == _bits(alone)
+            assert _violation_bits(record.scan) == _violation_bits(alone)
             assert repr(record.result) == repr(solve(level))
             # the grid of np.linspace and the 1-D columns at scalar noise
             dom = record.domain
             grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
             one_d = scan_columns(level, grid)
-            assert _bits(record.scan) == _bits(one_d) | {
-                "violations": _one_level_violations(one_d)}
+            assert _bits(record.scan) == _bits(one_d)
+            assert _violation_bits(record.scan) == _one_level_violations(one_d)
 
     def test_mixed_configs_cover_both_kinds_of_level(self):
         empty = [r.domain.empty for r in sweep_noise(make_config(E=6.5e-8), 50, 2)]
@@ -185,19 +194,29 @@ class TestBlockedSweep:
                  for v in r.scan.violations}
         assert len(kinds) == 3
 
-    def test_downlink_dispersion_is_the_float_expression(self):
-        # at sweep level 36 of g_dl = 0.7841, float ** 2 (libm pow) and
-        # numpy's square round (1 + gamma_dl)^2 apart, and the dispersion
-        # with them; the scan keeps the float expression of fbl.dispersion
+    def test_downlink_dispersion_squares_by_a_product(self):
+        # at sweep level 36 of g_dl = 0.7841, float ** 2 (libm pow) rounds
+        # (1 + gamma_dl)^2 otherwise than numpy's square; fbl.dispersion
+        # squares by a product, which rounds as numpy's square does
         cfg = make_config(g_dl=0.7841)
         record = sweep_noise(cfg, 50, 200)[36]
         gamma = cfg.p_dl * cfg.g_dl / record.noise
-        assert dispersion(gamma) != 1.0 - 1.0 / np.square(1.0 + gamma)
+        assert dispersion(gamma) == 1.0 - 1.0 / np.square(1.0 + gamma)
+        assert dispersion(gamma) != 1.0 - 1.0 / (1.0 + gamma) ** 2
         n_dl = cfg.n_max - record.scan.n_ul
         omega = cfg.B * np.log1p(gamma) / math.log(2.0) - cfg.d / n_dl
         x = math.log(2.0) * omega * np.sqrt(n_dl / dispersion(gamma))
         expected = log_ndtr(-x).view(np.uint64).tolist()
         assert record.scan.log_eps_dl.view(np.uint64).tolist() == expected
+
+    def test_scalar_and_array_dispersions_agree(self, table1):
+        # the solver's sign kernel and the scan take the same dispersion,
+        # also on the SNRs where float ** 2 would round otherwise
+        gammas = np.exp(np.random.default_rng(5).uniform(-12.0, 12.0, 20_000))
+        assert any((1.0 + g) ** 2 != (1.0 + g) * (1.0 + g) for g in gammas.tolist())
+        scalar = [_link_quantities(100.0, g, table1.d, table1.B)[1] for g in gammas.tolist()]
+        array = _link_columns(table1, 100.0, gammas).dispersion
+        assert np.array(scalar).view(np.uint64).tolist() == array.view(np.uint64).tolist()
 
     def test_table1_violation_count(self, table1):
         records = sweep_noise(table1, 50, 200)

@@ -256,6 +256,16 @@ class TestSystemConfig:
             make_config(g_dl=1e-17)
         make_config(g_dl=1e-13)  # 1 + 3.3e-13 is still above 1
 
+    def test_snr_above_limit_rejected(self):
+        # (1 + SNR)^3 in the uplink slope factor overflows near 5.6e102
+        with pytest.raises(ValueError, match=r"uplink SNR eta/d .* with E=6\.5e-07, "
+                           r"M=1\.0, f_s=250000\.0, g_ul=1\.0, N=1e-104, d=8\.0"):
+            make_config(N=1e-104)
+        with pytest.raises(ValueError, match=r"downlink SNR p_dl\*g_dl/N with "
+                           r"p_dl=0\.01, g_dl=1e\+103, N=0\.003"):
+            make_config(g_dl=1e103)
+        make_config(N=2.1e-102, g_dl=2e-4)  # both SNRs just below 1e100
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
         "key",

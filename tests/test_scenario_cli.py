@@ -317,6 +317,7 @@ class TestExitCodeContract:
         (["sweep", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["validate", "table1", "--trials", "0"], "trials must be >= 1"),
         (["validate", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
+        (["validate", "table1", "--seed", "-1", "--trials", "10"], "seed must be >= 0"),
     ])
     def test_zero_count_is_usage_error(self, argv, message, tmp_path, monkeypatch,
                                        capsys):
@@ -331,6 +332,7 @@ class TestExitCodeContract:
         (["--trials", "-5"], "trials must be >= 1"),
         (["--trials", "0"], "trials must be >= 1"),
         (["--grid-points", "0"], "grid_points must be >= 1"),
+        (["--seed", "-1"], "seed must be >= 0"),
     ])
     def test_bad_count_on_empty_domain_is_usage_error(self, options, message,
                                                       tmp_path, capsys):
@@ -374,3 +376,50 @@ class TestExitCodeContract:
         assert "N=0.01 is below double precision" in err
         assert "no N given: the sweep checks the model at N = p_dl" in err
         assert [p.name for p in tmp_path.iterdir()] == ["no_noise.scn"]
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "table1", "--noise", "3e-105"],
+        ["case-study", "table1", "--noise", "1e-120"],
+        ["sweep", "table1", "--sweep-points", "3"],
+    ], ids=["solve", "case-study", "sweep"])
+    def test_huge_uplink_snr_is_usage_error(self, argv, tmp_path, monkeypatch,
+                                            capsys):
+        # (1 + eta/n_ul)^3 would overflow; the sweep's scenario has E = 1e92,
+        # so only its lowest noise level, p_dl*1e-4, is out of range
+        monkeypatch.chdir(tmp_path)
+        if argv[0] == "sweep":
+            argv = ["sweep", _table1_scenario(tmp_path, "loud", E=1e92), *argv[2:]]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "uplink SNR eta/d" in err and "above the largest SNR" in err
+        assert "E=" in err and "f_s=250000.0" in err and "d=8.0" in err
+        if argv[0] == "sweep":
+            assert "(N=1.0000000000000002e-06 is a noise level of the sweep" in err
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["loud.scn"] if argv[0] == "sweep" else [])
+
+    @pytest.mark.parametrize("command", ["solve", "case-study", "sweep", "validate"])
+    @pytest.mark.parametrize("changes, named", [
+        (dict(N=1e-300), "N=1e-300, d=8.0"),
+        (dict(g_dl=1e103), "downlink SNR p_dl*g_dl/N with p_dl=0.01, g_dl=1e+103"),
+    ], ids=["noise", "gain"])
+    def test_huge_snr_scenario_is_usage_error(self, command, changes, named,
+                                              tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, _table1_scenario(tmp_path, "loud", **changes)]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["loud.scn"]
+
+    def test_huge_snr_at_placeholder_noise_is_usage_error(self, tmp_path,
+                                                          monkeypatch, capsys):
+        # no N: the sweep checks the model at N = p_dl = 1e-200, and says so
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "loud.scn"
+        values = {k: v for k, v in TABLE1_VALUES.items() if k != "N"}
+        values.update(p_dl=1e-200, g_dl=1e100)
+        path.write_text("".join(f"{k}={v!r}\n" for k, v in values.items()))
+        assert main(["sweep", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "uplink SNR eta/d" in err and "N=1e-200, d=8.0" in err
+        assert "no N given: the sweep checks the model at N = p_dl" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["loud.scn"]
