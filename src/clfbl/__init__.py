@@ -44,7 +44,6 @@ from .optimizer import (
     check_feasibility,
     grid_search_oracle,
     optimize_continuous,
-    refine_integer,
     solve,
 )
 from .experiments import (
@@ -87,7 +86,6 @@ __all__ = [
     "SolveResult",
     "check_feasibility",
     "optimize_continuous",
-    "refine_integer",
     "solve",
     "MonteCarloResult",
     "SweepRecord",

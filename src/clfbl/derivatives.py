@@ -402,9 +402,9 @@ class ScanReport:
     def convex_ok(self) -> bool:
         """No measurable loss of convexity.
 
-        Genuinely False when the downlink drops below its capacity
-        threshold inside the domain (eps_dl crosses 0.5 into the concave
-        Q tail); the optimizer guards boundaries for that regime.
+        Genuinely False where a link is at or below its capacity
+        threshold (eps >= 0.5, in the concave Q tail); ``solve`` tests
+        that regime up front and takes the exhaustive integer argmin there.
         """
         return not self.violations_of("cl_second_derivative_not_positive")
 

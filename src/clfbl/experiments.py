@@ -9,7 +9,7 @@ run as a few 2-D array passes, one per block of whole levels
 own, by the scalar bisection.  The seeded Monte Carlo
 simulation is intentionally independent of the optimizer's code path;
 the exhaustive integer oracle lives in :mod:`clfbl.optimizer`, which
-also falls back on it where eps_cl is not convex.
+also answers with it where a link is not above its capacity threshold.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ def sweep_noise(
     """Per-noise records over the standard (0, p_dl) logarithmic grid;
     the levels are scanned together, then solved one by one.  A level
     that the model rejects is named as a level of the sweep."""
+    if n_points < 2:
+        raise ValueError(f"sweep_points must be >= 2, got {n_points!r}")
     cfgs = []
     for noise in noise_grid(cfg.p_dl, n_points).tolist():
         try:

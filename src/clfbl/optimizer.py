@@ -1,40 +1,41 @@
 """Reliability-optimal uplink blocklength allocation.
 
-The loop error eps_cl = eps_ul + eps_dl is convex on the feasible
-domain whenever the downlink stays above its capacity threshold
-(x_dl > 0 throughout), so the continuous optimum follows from the sign
-of its first derivative g at the bounds: left bound if g(n_lo) >= 0,
-right bound if g(n_hi) <= 0, otherwise the unique interior root of g,
-found by bisection on the plain-float ``d_eps_cl_sign``.  The integer
-allocation is the best of the two neighbors of the continuous optimum and
-the two boundary integers, from one array evaluation of the loop error;
-per-direction error-rate caps are checked afterwards without altering it.
+The loop error eps_cl = eps_ul + eps_dl is convex on the feasible domain
+while both links are above their capacity thresholds (decoding argument
+x > 0, eps < 1/2), so the continuous optimum follows from the sign of its
+first derivative g at the bounds: left bound if g(n_lo) >= 0, right bound
+if g(n_hi) <= 0, otherwise the unique interior root of g, found by
+bisection on the plain-float ``d_eps_cl_sign``.  The integer allocation is
+the better neighbor of the continuous optimum; per-direction error-rate
+caps are checked afterwards without altering it.
 
-With a downlink weak enough that eps_dl crosses 0.5 inside the domain,
-eps_cl is provably non-convex (the Q tail turns concave); g can then be
-positive at the left bound and negative at the right, an interior
-maximum that no convex objective has.  ``optimize_continuous`` raises
-``NotConvexError`` on that sign pattern instead of guessing, and
-``solve`` answers it exactly: it takes the integer argmin of log eps_cl
-over every blocklength in [ceil(n_lo), floor(n_hi)] (the exhaustive
-oracle's code path), reports the case as ``EXHAUSTIVE`` and says so in
-its notes.
+At or below a threshold the Q tail turns concave.  ``solve`` decides the
+regime up front, in closed form: x has the sign of n*C - d, which is
+smallest for the uplink at n_lo and positive for the downlink only below
+n_ul = n_max - d/C_dl.  Unless both are positive at n_lo, it takes the
+exhaustive integer argmin of log eps_cl (the oracle's code path), reports
+the case as ``EXHAUSTIVE`` and names the link in its notes.  Otherwise it
+bisects below the downlink's threshold, past which eps_dl > 1/2; the
+answer stands when its eps_cl is at most 1/2, and the exhaustive argmin
+decides when it is not.  ``optimize_continuous`` itself raises
+``NotConvexError`` on a sign pattern that convexity rules out.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fbl import SystemConfig, loop_reliability
+from .fbl import SystemConfig, _link_quantities, loop_reliability
 from .energy import DomainBounds, Infeasible, feasible_domain, ul_power_of_blocklength
 from .derivatives import (
     _cl_log_eps,
     d_eps_cl_sign,
     dl_state,
+    loop_log_error,
     ul_state,
 )
 
@@ -43,7 +44,8 @@ ROOT_INTERVAL_TOL = 1e-6
 
 
 class OptimizerCase(enum.Enum):
-    """Which branch of the boundary-derivative test located the optimum."""
+    """Which branch of the boundary-derivative test located the optimum, or
+    ``EXHAUSTIVE`` where ``solve``'s regime test left it to the oracle."""
 
     LEFT_BOUNDARY = "left"
     RIGHT_BOUNDARY = "right"
@@ -148,32 +150,14 @@ def _integer_range(dom: DomainBounds) -> tuple[int, int] | Infeasible:
     return lo, hi
 
 
-def _neighbours(n_ul_cont: float, lo: int, hi: int) -> set[int]:
-    """floor and ceil of n_ul_cont, clamped into [lo, hi]."""
-    return {min(max(math.floor(n_ul_cont), lo), hi), min(max(math.ceil(n_ul_cont), lo), hi)}
-
-
-def _best_integer(cfg: SystemConfig, candidates: set[int]) -> int:
-    """The candidate minimizing (log eps_cl, n) in one array evaluation, which
-    gives the same bits as ``loop_log_error`` at each element."""
-    ns = sorted(candidates)
+def _best_neighbour(cfg: SystemConfig, n_ul_cont: float, lo: int, hi: int) -> int:
+    """Of floor and ceil of n_ul_cont, clamped into [lo, hi], the one minimizing
+    (log eps_cl, n) in one array evaluation, which gives the same bits as
+    ``loop_log_error`` at each element."""
+    ns = sorted({min(max(math.floor(n_ul_cont), lo), hi),
+                 min(max(math.ceil(n_ul_cont), lo), hi)})
     values = _cl_log_eps(cfg, np.array(ns, dtype=float)).tolist()
     return min(zip(values, ns))[1]
-
-
-def refine_integer(
-    cfg: SystemConfig, n_ul_cont: float, domain: DomainBounds | None = None
-) -> int | Infeasible:
-    """Integer blocklength minimizing eps_cl among the neighbors of n_ul_cont.
-
-    Candidates floor/ceil are clamped into [ceil(n_lo), floor(n_hi)] so
-    the convexity preconditions stay intact; ties break toward the
-    smaller blocklength.
-    """
-    bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
-    if isinstance(bounds, Infeasible):
-        return bounds
-    return _best_integer(cfg, _neighbours(n_ul_cont, *bounds))
 
 
 def grid_search_oracle(
@@ -212,8 +196,8 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     """End-to-end allocation: domain, continuous optimum, integer refinement.
 
     Returns an Infeasible marker when the domain holds no (integer)
-    blocklength.  Where the boundary signs contradict convexity, the
-    allocation is the exhaustive integer argmin instead (case
+    blocklength.  Where the regime test of the module docstring rules
+    bisection out, the allocation is the exhaustive integer argmin (case
     ``EXHAUSTIVE``).  A violated error-rate cap does not change the
     returned allocation; it only clears the ``feasible`` flag.
     """
@@ -221,20 +205,31 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     bounds = _integer_range(dom)
     if isinstance(bounds, Infeasible):
         return bounds
-    try:
-        cont = optimize_continuous(cfg, dom)
-    except NotConvexError as exc:
+    # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
+    # downlink's is positive only below n_ul = n_max - d/C_dl
+    x_ul = _link_quantities(dom.n_lo, dom.eta / dom.n_lo, cfg.d, cfg.B)[4]
+    cap_dl, _, _, _, x_dl = _link_quantities(
+        cfg.n_max - dom.n_lo, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
+    if x_ul > 0.0 and x_dl > 0.0:
+        top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / cap_dl))
+        cont = optimize_continuous(cfg, dom if top == dom.n_hi else replace(dom, n_hi=top))
+        n_ul = _best_neighbour(cfg, cont.n_ul, *bounds)
+        # past top, eps_dl > 1/2: the bisection's answer stands if it beats that
+        why = None
+        if top < dom.n_hi and not loop_log_error(cfg, n_ul) <= math.log(0.5):
+            why = (f"downlink at or below the capacity threshold past n_ul={top!r}, "
+                   "and eps_cl above 1/2 before it")
+    else:
+        below = " and ".join(f"{link} (x={x:.6g})" for link, x in
+                             (("uplink", x_ul), ("downlink", x_dl)) if not x > 0.0)
+        why = (f"{below} at or below the capacity threshold at n_lo={dom.n_lo!r}, "
+               "where the loop error need not be convex")
+    if why:
+        n_ul = grid_search_oracle(cfg, dom)
         cont = ContinuousSolution(
-            float(grid_search_oracle(cfg, dom)),
-            OptimizerCase.EXHAUSTIVE,
-            0,
-            (f"{exc}; took the exhaustive integer argmin over "
-             f"[{bounds[0]}, {bounds[1]}]",),
+            float(n_ul), OptimizerCase.EXHAUSTIVE, 0,
+            (f"{why}; took the exhaustive integer argmin over [{bounds[0]}, {bounds[1]}]",),
         )
-    # the integer neighbours of the continuous optimum plus a boundary
-    # guard: a no-op under convexity, but protects the weak-downlink
-    # regime where an interior root need not be the global minimum
-    n_ul = _best_integer(cfg, _neighbours(cont.n_ul, *bounds) | set(bounds))
     ul = ul_state(cfg, n_ul)
     dl = dl_state(cfg, n_ul)
     report = _feasibility(ul.eps, dl.eps, cfg.eps_max)

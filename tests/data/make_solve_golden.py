@@ -10,6 +10,9 @@ Regenerate only on purpose, from the code whose answers are to be
 pinned:
 
     PYTHONPATH=src python tests/data/make_solve_golden.py
+
+It prints the index and the changed fields of every case that differs
+from the file it overwrites.
 """
 
 from __future__ import annotations
@@ -44,6 +47,28 @@ def encode(value):
     raise TypeError(f"cannot encode {value!r} of type {type(value).__name__}")
 
 
+def _changed_fields(old: dict, new: dict) -> list[str]:
+    """``config`` if the configs differ, then each differing result field."""
+    fields = ["config"] if old["config"] != new["config"] else []
+    before, after = old["result"], new["result"]
+    return fields + [k for k in {**before, **after} if before.get(k) != after.get(k)]
+
+
+def write_cases(out: Path, cases: list[dict], changed_fields=_changed_fields) -> None:
+    """Overwrite ``out`` with one JSON case per line, first printing the
+    index and ``changed_fields`` of each case that differs from its old
+    content."""
+    old = json.loads(out.read_text()) if out.exists() else []
+    for i, (before, after) in enumerate(zip(old, cases)):
+        if before != after:
+            print(f"case {i}: {', '.join(changed_fields(before, after))}")
+    if len(old) != len(cases):
+        print(f"case count {len(old)} -> {len(cases)}")
+    lines = ",\n".join(json.dumps(case) for case in cases)
+    out.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {len(cases)} cases to {out}")
+
+
 def _log_between(u: float, lo: float, hi: float) -> float:
     return math.exp(math.log(lo) + u * (math.log(hi) - math.log(lo)))
 
@@ -72,10 +97,10 @@ def _latin_hypercube_mix(rows: int = 230) -> list[SystemConfig]:
 def _weak_downlink(count: int = 20) -> list[SystemConfig]:
     rng = np.random.default_rng(5)
     configs = [
-        # eps_dl crosses 0.5 inside the domain: the EXHAUSTIVE case
+        # the downlink is below its capacity threshold: the EXHAUSTIVE case
         SystemConfig(d=24.0, f_s=250e3, M=1.0, E=7e-6, p_dl=7e-8, N=1.6e-4,
                      n_max=560.0),
-        # the boundary guard moves the answer off the continuous optimum
+        # the continuous optimum's neighbours miss the oracle's answer
         SystemConfig(d=36.0, f_s=250e3, M=1.0, E=8.218550732019156e-06,
                      p_dl=1.4141822916480302e-09, N=2.6750145212957025e-05,
                      n_max=2518.0),
@@ -99,9 +124,7 @@ def main() -> None:
         {"config": encode(cfg), "result": encode(solve(cfg))}
         for cfg in _table1_sweep() + _latin_hypercube_mix() + _weak_downlink()
     ]
-    lines = ",\n".join(json.dumps(case) for case in cases)
-    OUT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {OUT}")
+    write_cases(OUT, cases)
 
 
 if __name__ == "__main__":

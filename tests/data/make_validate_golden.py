@@ -11,6 +11,9 @@ Regenerate only on purpose, from the code whose reports are to be
 pinned:
 
     PYTHONPATH=src python tests/data/make_validate_golden.py
+
+It prints the index and the changed suites of every case that differs
+from the file it overwrites.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from clfbl import SystemConfig, load_scenario, noise_grid
 from clfbl.validation import run_validation
 
-from make_solve_golden import encode
+from make_solve_golden import encode, write_cases
 
 OUT = Path(__file__).with_name("validate_golden.json")
 
@@ -68,14 +71,18 @@ def report(cfg: SystemConfig) -> list[list[str]]:
     return [[s.name, s.status, s.detail] for s in run_validation(cfg, trials=TRIALS)]
 
 
+def _changed_suites(old: dict, new: dict) -> list[str]:
+    """``config`` if the configs differ, then the name of each differing suite."""
+    fields = ["config"] if old["config"] != new["config"] else []
+    return fields + [b[0] for a, b in zip(old["report"], new["report"]) if a != b]
+
+
 def main() -> None:
     cases = [
         {"config": encode(cfg), "report": report(cfg)}
         for cfg in _table1() + _random_configs()
     ]
-    lines = ",\n".join(json.dumps(case) for case in cases)
-    OUT.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {OUT}")
+    write_cases(OUT, cases, _changed_suites)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,10 @@ from clfbl import (
     grid_search_oracle,
     loop_log_error,
     optimize_continuous,
-    refine_integer,
     solve,
 )
 from clfbl.energy import Infeasible
 from clfbl.derivatives import _cl_log_eps
-from clfbl.optimizer import NotConvexError
 from clfbl.validation import derivative_fidelity_suite
 
 from conftest import make_config
@@ -78,15 +76,14 @@ class TestOptimizeContinuous:
         cont = optimize_continuous(cfg)
         assert cont.case is OptimizerCase.LEFT_BOUNDARY
         oracle = grid_search_oracle(cfg)
-        refined = refine_integer(cfg, cont.n_ul)
-        assert refined == oracle or _objective_tie(cfg, refined, oracle)
+        n_ul = solve(cfg).n_ul
+        assert n_ul == oracle or _objective_tie(cfg, n_ul, oracle)
 
     def test_energy_rich_matches_oracle(self):
         cfg = make_config(E=1.0)
-        cont = optimize_continuous(cfg)
-        refined = refine_integer(cfg, cont.n_ul)
+        n_ul = solve(cfg).n_ul
         oracle = grid_search_oracle(cfg)
-        assert refined == oracle or _objective_tie(cfg, refined, oracle)
+        assert n_ul == oracle or _objective_tie(cfg, n_ul, oracle)
 
     def test_empty_domain_infeasible(self):
         assert isinstance(optimize_continuous(make_config(N=0.1)), Infeasible)
@@ -100,16 +97,27 @@ class TestOptimizeContinuous:
 
 
 class TestRefineInteger:
-    def test_integral_point_unchanged(self, table1):
-        assert refine_integer(table1, 49.0) == 49
+    """The integer step of ``solve``: the better neighbour of the continuous
+    optimum, clamped into [ceil(n_lo), floor(n_hi)]."""
 
-    def test_clamps_to_integer_range(self, table1):
-        # floor(54.1667) = 54, ceil = 55 clamps back onto 54
-        assert refine_integer(table1, 54.1667) == 54
+    def test_integral_point_unchanged(self):
+        # the left bound n_lo = 9 is the continuous optimum
+        cfg = SystemConfig(
+            d=8.0, f_s=250e3, M=1.0, E=4e-5, p_dl=2e-2, N=1e-2, n_max=120.0
+        )
+        result = solve(cfg)
+        assert (result.n_ul_cont, result.n_ul) == (9.0, 9)
+
+    def test_clamps_to_integer_range(self):
+        # right bound n_hi = eta = 20.3125: ceil = 21 clamps back onto 20
+        result = solve(make_config(N=8e-3))
+        assert result.case is OptimizerCase.RIGHT_BOUNDARY
+        assert (result.n_ul_cont, result.n_ul) == (20.3125, 20)
 
     def test_matches_exhaustive_search(self, table1):
-        cont = optimize_continuous(table1)
-        assert refine_integer(table1, cont.n_ul) == grid_search_oracle(table1)
+        result = solve(table1)
+        assert result.n_ul in (math.floor(result.n_ul_cont), math.ceil(result.n_ul_cont))
+        assert result.n_ul == grid_search_oracle(table1)
 
     def test_empty_integer_range(self):
         # domain [9.2, 9.7] contains no integer
@@ -119,8 +127,8 @@ class TestRefineInteger:
         )
         dom = feasible_domain(cfg)
         assert not dom.empty
-        assert isinstance(refine_integer(cfg, 9.5, dom), Infeasible)
         assert isinstance(solve(cfg), Infeasible)
+        assert isinstance(grid_search_oracle(cfg, dom), Infeasible)
 
 
 class TestFeasibility:
@@ -198,17 +206,9 @@ class TestSolve:
         assert isinstance(result, Infeasible)
         assert "domain" in result.reason
 
-    def test_non_convex_signs_fall_back_to_exhaustive(self, table1, monkeypatch):
-        dom = feasible_domain(table1)
-        fake = lambda cfg, n: 1 if n == dom.n_lo else -1
-        monkeypatch.setattr(clfbl.optimizer, "d_eps_cl_sign", fake)
-        result = solve(table1)
-        assert result.n_ul == grid_search_oracle(table1)
-        assert result.case is OptimizerCase.EXHAUSTIVE
-        assert any("exhaustive integer argmin" in note for note in result.notes)
-
     def test_weak_downlink_interior_maximum_is_exhaustive(self):
-        # eps_dl crosses 0.5 inside the domain, so eps_cl has an interior
+        # the downlink is below its capacity threshold on the whole domain
+        # (eps_dl > 0.5, concave Q tail), and eps_cl has an interior
         # maximum: positive slope at n_lo, negative at n_hi
         cfg = make_config(d=24.0, E=7e-6, p_dl=7e-8, N=1.6e-4, n_max=560.0)
         with pytest.raises(RuntimeError, match="convexity"):
@@ -216,6 +216,53 @@ class TestSolve:
         result = solve(cfg)
         assert result.case is OptimizerCase.EXHAUSTIVE
         assert result.n_ul == grid_search_oracle(cfg)
+        assert result.notes == (
+            "downlink (x=-23.9568) at or below the capacity threshold at "
+            "n_lo=24.0, where the loop error need not be convex; took the "
+            "exhaustive integer argmin over [24, 536]",
+        )
+
+    @pytest.mark.parametrize("values, oracle, case, note", [
+        # bisection used to stop at a local minimum far from the global one
+        (dict(d=21.0, f_s=250e3, M=1.0, E=3.32e-8, p_dl=1.133e-9, N=5.696e-6,
+              n_max=893.0), 91, "EXHAUSTIVE", "downlink (x=-"),
+        (dict(d=22.0, f_s=250e3, M=1.0, E=2.63158e-6, p_dl=3.19167e-9,
+              N=6.88755e-5, n_max=2446.0), 40, "EXHAUSTIVE", "downlink (x=-"),
+        # B << 1 puts the uplink below its threshold at n_lo; bisection
+        # used to return 119 (eps_cl 0.83) against the oracle's 0.086
+        (dict(d=118.14421830210071, f_s=26516945.426138885, M=2.599225859758534,
+              E=1.3759067663915247e-13, p_dl=3.4530082672073587e-07,
+              N=3.4498656899938065e-11, n_max=5079.748351110286,
+              g_ul=0.04537933750500774, g_dl=2.3648561552463307e-05,
+              B=0.13431460898940648), 241, "EXHAUSTIVE", "uplink (x=-"),
+        # the downlink crosses its threshold inside the domain, so only the
+        # part below n_max - d/C_dl is bisected.  Over the whole domain the
+        # first two gave the right bound (eps_cl ~1), the third raised
+        # NotConvexError; the first one's optimum lies past the crossing
+        (dict(d=2.6941587338923445, f_s=28878911.021961864, M=2.104378528273548,
+              E=8.372054868874573e-12, p_dl=1.2918030925958794e-07,
+              N=2.929674040785615e-08, n_max=5531.564563232378,
+              g_ul=4.516790711989067, g_dl=0.0030195393117996875,
+              B=0.027623683538114698), 438, "EXHAUSTIVE",
+         "downlink at or below the capacity threshold past n_ul=420.34"),
+        (dict(d=45.93216299542219, f_s=13485626.434567807, M=3.148550282159621,
+              E=3.3116569625213305e-06, p_dl=4.643309319218841e-07,
+              N=0.00011616338113962041, n_max=14723.933926458552,
+              g_ul=0.032552913026669864, g_dl=4.734020537373154,
+              B=0.13898191423826284), 71, "INTERIOR_ROOT", None),
+        (dict(d=147.3012502355734, f_s=211318.97795356836, M=6.721654478977798,
+              E=5.324123017505121e-06, p_dl=7.301121389520324e-07,
+              N=3.836757395722406e-05, n_max=2790.1540691889904,
+              g_ul=0.017082204736932033, g_dl=6.78037017223046,
+              B=0.34242736139066077), 148, "LEFT_BOUNDARY", None),
+    ], ids=["dl-below-91", "dl-below-40", "ul-below-241", "dl-crossing-438",
+            "dl-crossing-71", "dl-crossing-148"])
+    def test_link_below_threshold_equals_oracle(self, values, oracle, case, note):
+        cfg = SystemConfig(**values)
+        result = solve(cfg)
+        assert grid_search_oracle(cfg) == oracle
+        assert (result.n_ul, result.case.name) == (oracle, case)
+        assert result.notes[0].startswith(note) if note else result.notes == ()
 
     def test_higher_order_modulation_against_oracle(self):
         cfg = SystemConfig(
@@ -288,28 +335,16 @@ class TestCandidateStep:
             scalar = [loop_log_error(cfg, n).hex() for n in points.tolist()]
             assert array == scalar, cfg
 
-    def test_single_evaluation_equals_two_stage_minimum(self):
-        # the integer neighbours of the continuous optimum first, then the
-        # boundary guard against the domain's end integers; the first
-        # config is one of the few (6 in 3,000 random ones) where the
-        # guard changes the answer
-        guarded = SystemConfig(
+    def test_seeded_configs_equal_oracle(self):
+        # the first config is one where the continuous optimum's
+        # neighbours miss the oracle's answer (a weak downlink)
+        weak = SystemConfig(
             d=36.0, f_s=250e3, M=1.0, E=8.218550732019156e-06,
             p_dl=1.4141822916480302e-09, N=2.6750145212957025e-05, n_max=2518.0,
         )
-        guard_moved = 0
-        for cfg in [guarded, *_seeded_configs(11, 200)]:
-            dom = feasible_domain(cfg)
-            try:
-                n_cont = optimize_continuous(cfg, dom).n_ul
-            except NotConvexError:
-                n_cont = float(grid_search_oracle(cfg, dom))
-            refined = refine_integer(cfg, n_cont, dom)
-            candidates = {refined, math.ceil(dom.n_lo), math.floor(dom.n_hi)}
-            two_stage = min(candidates, key=lambda n: (loop_log_error(cfg, n), n))
-            assert solve(cfg).n_ul == two_stage, cfg
-            guard_moved += two_stage != refined
-        assert guard_moved > 0
+        for cfg in [weak, *_seeded_configs(11, 200)]:
+            n_ul, oracle = solve(cfg).n_ul, grid_search_oracle(cfg)
+            assert n_ul == oracle or _objective_tie(cfg, n_ul, oracle), cfg
 
 
 def _load_golden_module():
@@ -346,15 +381,14 @@ class TestGoldenFixture:
     M=st.integers(1, 3),
     log_E=st.floats(-8.0, -5.0),
     log_N=st.floats(-6.0, -1.0),
-    log_snr_dl=st.floats(0.0, 4.0, exclude_min=True),
+    log_snr_dl=st.floats(-4.0, 4.0),
     n_max=st.integers(100, 5000),
 )
 def test_solver_equals_oracle(d, M, log_E, log_N, log_snr_dl, n_max):
-    # p_dl > N only: with p_dl far below N the objective can be flat at 1
-    # with several local minima, which the solver does not yet resolve
+    # p_dl > N, p_dl < N and p_dl = N alike
     N = 10.0**log_N
     p_dl = N * 10.0**log_snr_dl
-    assume(n_max >= 2 * d and p_dl > N)
+    assume(n_max >= 2 * d)
     cfg = SystemConfig(d=float(d), f_s=250e3, M=float(M), E=10.0**log_E,
                        p_dl=p_dl, N=N, n_max=float(n_max))
     result, oracle = solve(cfg), grid_search_oracle(cfg)
@@ -384,13 +418,17 @@ def _log_uniform(lo: float, hi: float):
 def test_every_valid_config_runs(**values):
     # a config is either rejected where it is built, or solve, the scan
     # and the fidelity suite run on it without an exception or a
-    # RuntimeWarning (pytest turns those into errors)
+    # RuntimeWarning (pytest turns those into errors), and solve ties the
+    # oracle wherever the integer domain is not empty
     try:
         cfg = SystemConfig(**values)
     except ValueError:
         event("rejected")
         return
     event("empty" if feasible_domain(cfg).empty else "feasible")
-    solve(cfg)
+    result, oracle = solve(cfg), grid_search_oracle(cfg)
+    if not isinstance(oracle, Infeasible):
+        event(result.case.name)
+        assert result.n_ul == oracle or _objective_tie(cfg, result.n_ul, oracle)
     convexity_scan(cfg, 50)
     derivative_fidelity_suite(cfg)

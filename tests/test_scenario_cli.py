@@ -313,7 +313,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("argv, message", [
         (["case-study", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
-        (["sweep", "table1", "--sweep-points", "0"], "n_points must be >= 2"),
+        (["sweep", "table1", "--sweep-points", "0"], "sweep_points must be >= 2"),
         (["sweep", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["validate", "table1", "--trials", "0"], "trials must be >= 1"),
         (["validate", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
