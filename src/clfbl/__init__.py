@@ -8,16 +8,7 @@ the reliability-optimal split of the frame, with sweep/validation
 tooling and a CLI on top.
 """
 
-from .fbl import (
-    LinkState,
-    SystemConfig,
-    capacity,
-    dispersion,
-    log_q,
-    loop_reliability,
-    q_function,
-    snr,
-)
+from .fbl import LinkState, SystemConfig, log_q, loop_reliability, q_function
 from .energy import (
     DomainBounds,
     Infeasible,
@@ -32,8 +23,6 @@ from .derivatives import (
     convexity_scan,
     d_eps_cl_dn,
     d_eps_cl_sign,
-    d_eps_dl_dn,
-    d_eps_ul_dn,
     fd_derivative,
     loop_log_error,
 )
@@ -41,7 +30,6 @@ from .optimizer import (
     NotConvexError,
     OptimizerCase,
     SolveResult,
-    check_feasibility,
     grid_search_oracle,
     optimize_continuous,
     solve,
@@ -60,12 +48,9 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkState",
     "SystemConfig",
-    "capacity",
-    "dispersion",
     "log_q",
     "loop_reliability",
     "q_function",
-    "snr",
     "DomainBounds",
     "Infeasible",
     "UpperBound",
@@ -77,14 +62,11 @@ __all__ = [
     "convexity_scan",
     "d_eps_cl_dn",
     "d_eps_cl_sign",
-    "d_eps_dl_dn",
-    "d_eps_ul_dn",
     "fd_derivative",
     "loop_log_error",
     "NotConvexError",
     "OptimizerCase",
     "SolveResult",
-    "check_feasibility",
     "optimize_continuous",
     "solve",
     "MonteCarloResult",

@@ -29,8 +29,8 @@ and positive otherwise.  ``d_eps_cl_sign`` applies that rule in plain
 floats and ``_cl_sign`` applies it to arrays.
 
 There is one derivative kernel, in numpy arrays (``_ul_d_eps`` and
-``_dl_d_eps``): the scan sums it, the validation suite reads it, and
-``d_eps_ul_dn``/``d_eps_dl_dn`` are one-point calls of it.  The scalar
+``_dl_d_eps``): the scan sums it over its grids, the validation suite
+reads it, and ``d_eps_cl_dn`` is its sum at one point.  The scalar
 ``math`` path serves only the solver's sign kernel ``d_eps_cl_sign``,
 whose bits ``tests/data/solve_golden.json`` pins, and LinkState.  Both
 paths share the slope factors and square 1 + gamma as a product.  The
@@ -45,20 +45,17 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
-from .fbl import LinkState, SystemConfig, _link_quantities
+from .fbl import LinkState, SystemConfig, _eps_of, _link_quantities, _log_eps_of
 from .energy import (
     DomainBounds,
     Infeasible,
     feasible_domain,
     snr_blocklength_product,
-    ul_power_of_blocklength,
     ul_snr_of_blocklength,
 )
 
 _LN2 = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 # log of the prefactor of |phi| = (ln 2)/sqrt(2*pi) * exp(-x^2/2)
 _LOG_PHI_COEFF = math.log(_LN2 / math.sqrt(2.0 * math.pi))
 
@@ -68,16 +65,12 @@ _LOG_PHI_COEFF = math.log(_LN2 / math.sqrt(2.0 * math.pi))
 
 def ul_state(cfg: SystemConfig, n_ul: float) -> LinkState:
     """Uplink link state at n_ul with the energy budget fully spent."""
-    gamma = ul_snr_of_blocklength(cfg, n_ul)
-    p = ul_power_of_blocklength(cfg, n_ul)
-    return LinkState.from_snr(n_ul, gamma, cfg.d, cfg.B, p=p)
+    return LinkState.from_snr(n_ul, ul_snr_of_blocklength(cfg, n_ul), cfg.d, cfg.B)
 
 
 def dl_state(cfg: SystemConfig, n_ul: float) -> LinkState:
     """Downlink link state at n_dl = n_max - n_ul."""
-    return LinkState.from_power(
-        cfg.n_max - n_ul, cfg.p_dl, cfg.g_dl, cfg.N, cfg.d, cfg.B
-    )
+    return LinkState.from_snr(cfg.n_max - n_ul, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
 
 
 def loop_log_error(cfg: SystemConfig, n_ul: float) -> float:
@@ -157,17 +150,17 @@ def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColum
 
 def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):
     return np.logaddexp(
-        _log_ndtr(-_ul_link(cfg, n_ul, noise).x),
-        _log_ndtr(-_dl_link(cfg, n_ul, noise).x),
+        _log_eps_of(_ul_link(cfg, n_ul, noise).x),
+        _log_eps_of(_dl_link(cfg, n_ul, noise).x),
     )
 
 
 def _ul_eps(cfg: SystemConfig, n_ul):
-    return 0.5 * _erfc(_ul_link(cfg, n_ul).x / _SQRT2)
+    return _eps_of(_ul_link(cfg, n_ul).x)
 
 
 def _dl_eps(cfg: SystemConfig, n_ul):
-    return 0.5 * _erfc(_dl_link(cfg, n_ul).x / _SQRT2)
+    return _eps_of(_dl_link(cfg, n_ul).x)
 
 
 # ---------------------------------------------------------------------------
@@ -214,30 +207,22 @@ def _dl_d_eps(cfg: SystemConfig, dl: _LinkColumns):
     return value, _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket
 
 
-def d_eps_ul_dn(cfg: SystemConfig, n_ul: float) -> float:
-    """Analytic d eps_ul / d n_ul under the energy coupling.
-
-    Negative while the SNR is comfortably above 0 dB (a longer codeword
-    still wins), but turns positive before the 0 dB bound once
-    eta > 4*ln2*d/(6 - 8*ln2): at gamma = 1 the sign is that of
-    -(4*ln2*d + n*(8*ln2 - 6)).
-    """
+def _check_payload(cfg: SystemConfig, n_ul: float) -> None:
+    """Reject n_ul unless both links carry the payload (n_hi = n_max - d passes)."""
     if not n_ul >= cfg.d:
         raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
-    return float(_ul_d_eps(cfg, _ul_link(cfg, np.array([n_ul], dtype=float)))[0][0])
-
-
-def d_eps_dl_dn(cfg: SystemConfig, n_ul: float) -> float:
-    """Analytic d eps_dl / d n_ul; strictly positive for any gamma_dl > 0."""
-    n_dl = cfg.n_max - n_ul
-    if not n_ul <= cfg.n_max - cfg.d:  # the bound of feasible_domain, so n_hi passes
+    if not n_ul <= cfg.n_max - cfg.d:
+        n_dl = cfg.n_max - n_ul
         raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
-    return float(_dl_d_eps(cfg, _dl_link(cfg, np.array([n_ul], dtype=float)))[0][0])
 
 
 def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
-    """Analytic derivative of the loop error objective eps_ul + eps_dl."""
-    return d_eps_ul_dn(cfg, n_ul) + d_eps_dl_dn(cfg, n_ul)
+    """Analytic derivative of the loop error objective eps_ul + eps_dl: the
+    sum of the array kernels ``_ul_d_eps`` and ``_dl_d_eps`` at one point."""
+    _check_payload(cfg, n_ul)
+    n = np.array([n_ul], dtype=float)
+    ul, dl = _ul_d_eps(cfg, _ul_link(cfg, n)), _dl_d_eps(cfg, _dl_link(cfg, n))
+    return float(ul[0][0] + dl[0][0])
 
 
 def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
@@ -246,17 +231,14 @@ def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
     The sign rule is the one in the module docstring; the downlink term
     is evaluated only where the uplink term is negative.
     """
-    if not n_ul >= cfg.d:
-        raise ValueError(f"lossless coding requires n_ul >= d, got {n_ul!r} < {cfg.d!r}")
-    n_dl = cfg.n_max - n_ul
-    if not n_ul <= cfg.n_max - cfg.d:  # the bound of feasible_domain, so n_hi passes
-        raise ValueError(f"lossless coding requires n_dl >= d, got {n_dl!r} < {cfg.d!r}")
+    _check_payload(cfg, n_ul)
     gamma = snr_blocklength_product(cfg) / n_ul
     _, V, w, b, x = _link_quantities(n_ul, gamma, cfg.d, cfg.B)
     factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
     if not factor > 0.0:
         return 1
     log_ul = _LOG_PHI_COEFF - 0.5 * x * x + math.log(factor)
+    n_dl = cfg.n_max - n_ul
     cap, V, w, b, x = _link_quantities(n_dl, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
     log_bracket = math.log(cfg.d + cap * n_dl) - math.log(2.0 * b * V * n_dl)
     log_dl = _LOG_PHI_COEFF - 0.5 * x * x + log_bracket
@@ -435,9 +417,9 @@ def scan_columns(
     grid = np.asarray(points, dtype=float)
     ul = _ul_link(cfg, grid, noise)
     dl = _dl_link(cfg, grid, noise)
-    log_ul, log_dl = _log_ndtr(-ul.x), _log_ndtr(-dl.x)
+    log_ul, log_dl = _log_eps_of(ul.x), _log_eps_of(dl.x)
     log_cl = np.logaddexp(log_ul, log_dl)
-    eps_ul, eps_dl = 0.5 * _erfc(ul.x / _SQRT2), 0.5 * _erfc(dl.x / _SQRT2)
+    eps_ul, eps_dl = _eps_of(ul.x), _eps_of(dl.x)
 
     # Richardson-extrapolated central differences of log eps_cl
     h = _fd_step(cfg, grid)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .fbl import SystemConfig
+from .fbl import SystemConfig, loop_reliability
 from .energy import DomainBounds, Infeasible, feasible_domain
 from .derivatives import ScanReport, convexity_scan, dl_state, scan_levels, ul_state
 from .optimizer import SolveResult, solve
@@ -159,7 +159,7 @@ def monte_carlo_validate(
         seed=seed,
         eps_ul=eps_ul,
         eps_dl=eps_dl,
-        analytic_r_loop=(1.0 - eps_ul) * (1.0 - eps_dl),
+        analytic_r_loop=loop_reliability(eps_ul, eps_dl),
     )
 
 

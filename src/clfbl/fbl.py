@@ -19,7 +19,7 @@ matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from scipy.special import erfc as _erfc, log_ndtr as _log_ndtr
 
@@ -30,6 +30,16 @@ _LN2 = math.log(2.0)
 _SNR_MAX = 1e100
 
 
+def _eps_of(x):
+    """Error rate Q(x) at decoding argument x, unchecked, of a float or an array."""
+    return 0.5 * _erfc(x / _SQRT2)
+
+
+def _log_eps_of(x):
+    """log Q(x) like :func:`_eps_of`, finite where Q(x) underflows to 0."""
+    return _log_ndtr(-x)
+
+
 def q_function(x: float) -> float:
     """Standard normal tail probability Q(x) = 0.5*erfc(x/sqrt(2)).
 
@@ -38,43 +48,14 @@ def q_function(x: float) -> float:
     """
     if not math.isfinite(x):
         raise ValueError(f"q_function requires a finite argument, got {x!r}")
-    return 0.5 * float(_erfc(x / _SQRT2))
+    return float(_eps_of(x))
 
 
 def log_q(x: float) -> float:
     """Natural log of Q(x), finite for any x where Q underflows in double."""
     if not math.isfinite(x):
         raise ValueError(f"log_q requires a finite argument, got {x!r}")
-    return float(_log_ndtr(-x))
-
-
-def snr(p: float, g: float, n_noise: float) -> float:
-    """Linear SNR p*g/n_noise of a link with power p, gain g, noise n_noise."""
-    if n_noise <= 0.0:
-        raise ValueError(f"noise power must be positive, got {n_noise!r}")
-    if g <= 0.0:
-        raise ValueError(f"channel power gain must be positive, got {g!r}")
-    if p < 0.0:
-        raise ValueError(f"transmit power must be non-negative, got {p!r}")
-    return p * g / n_noise
-
-
-def capacity(gamma: float, B: float = 1.0) -> float:
-    """Shannon capacity B*log2(1+gamma) in bits/s/Hz."""
-    if gamma < 0.0:
-        raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    return B * math.log1p(gamma) / _LN2
-
-
-def dispersion(gamma: float) -> float:
-    """AWGN channel dispersion V = 1 - (1+gamma)^-2, in [0, 1).
-
-    Algebraically identical to (gamma^2 + 2*gamma) / (1+gamma)^2.  The
-    square is a product, which rounds as numpy's square does.
-    """
-    if gamma < 0.0:
-        raise ValueError(f"SNR must be non-negative, got {gamma!r}")
-    return 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
+    return float(_log_eps_of(x))
 
 
 def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float, ...]:
@@ -174,9 +155,9 @@ class SystemConfig:
 class LinkState:
     """Derived channel/code quantities of one link at a given blocklength.
 
-    All fields are deterministic functions of (n, p, g, noise, d, B); the
-    class is only built through its classmethods so that reconstruction
-    from the same inputs is bit-identical.
+    All fields are deterministic functions of (n, gamma, d, B); the class
+    is only built through :meth:`from_snr`, so that reconstruction from the
+    same inputs is bit-identical.
     """
 
     n: float
@@ -187,17 +168,9 @@ class LinkState:
     beta: float   # sqrt(n/V)
     x: float      # decoding argument (ln 2)*omega*beta
     eps: float    # error rate Q(x)
-    p: float | None = field(default=None)
 
     @classmethod
-    def from_snr(
-        cls,
-        n: float,
-        gamma: float,
-        d: float,
-        B: float = 1.0,
-        p: float | None = None,
-    ) -> "LinkState":
+    def from_snr(cls, n: float, gamma: float, d: float, B: float = 1.0) -> "LinkState":
         if d < 1.0:
             raise ValueError(f"payload must be at least 1 bit, got {d!r}")
         if n < d:
@@ -212,18 +185,8 @@ class LinkState:
         cap, disp, omega, beta, x = _link_quantities(n, gamma, d, B)
         return cls(
             n=n, gamma=gamma, capacity=cap, dispersion=disp,
-            omega=omega, beta=beta, x=x, eps=q_function(x), p=p,
+            omega=omega, beta=beta, x=x, eps=q_function(x),
         )
-
-    @classmethod
-    def from_power(
-        cls, n: float, p: float, g: float, noise: float, d: float, B: float = 1.0
-    ) -> "LinkState":
-        return cls.from_snr(n, snr(p, g, noise), d, B, p=p)
-
-    def log_eps(self) -> float:
-        """log of the error rate, finite even where eps underflows."""
-        return log_q(self.x)
 
 
 def loop_reliability(eps_ul: float, eps_dl: float) -> float:

@@ -42,6 +42,9 @@ from .derivatives import (
 #: bisection stops once the bracketing interval is narrower than this (bits)
 ROOT_INTERVAL_TOL = 1e-6
 
+#: most integers ``grid_search_oracle`` evaluates in one array pass
+_ORACLE_CHUNK = 1 << 16
+
 
 class OptimizerCase(enum.Enum):
     """Which branch of the boundary-derivative test located the optimum, or
@@ -66,14 +69,12 @@ class ContinuousSolution:
 
 
 @dataclass(frozen=True)
-class FeasibilityReport:
-    feasible: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class SolveResult:
-    """Optimal allocation with achieved error rates and reliability."""
+    """Optimal allocation with achieved error rates and reliability.
+
+    Where ``solve`` cuts the bisection bracket at the downlink threshold,
+    ``case`` and ``n_ul_cont`` refer to [n_lo, min(n_hi, n_max - d/C_dl)].
+    """
 
     n_ul_cont: float
     n_ul: int
@@ -167,29 +168,20 @@ def grid_search_oracle(
 
     Evaluates every integer blocklength (in log space, so deep-tail
     values still order correctly) and returns the smallest argmin.
-    Runtime is linear in the domain width.
+    Runtime is linear in the domain width, memory is not (chunks of ``_ORACLE_CHUNK``).
     """
     bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
     if isinstance(bounds, Infeasible):
         return bounds
     lo, hi = bounds
-    candidates = np.arange(lo, hi + 1, dtype=float)
-    values = _cl_log_eps(cfg, candidates)
-    return lo + int(np.argmin(values))  # argmin keeps the first (smallest) tie
-
-
-def check_feasibility(result: SolveResult, cfg: SystemConfig) -> FeasibilityReport:
-    """Check the per-direction error-rate caps on an existing allocation."""
-    return _feasibility(result.eps_ul, result.eps_dl, cfg.eps_max)
-
-
-def _feasibility(eps_ul: float, eps_dl: float, eps_max: float) -> FeasibilityReport:
-    violations = []
-    if eps_ul > eps_max:
-        violations.append("UL")
-    if eps_dl > eps_max:
-        violations.append("DL")
-    return FeasibilityReport(not violations, tuple(violations))
+    best_n, best_v = lo, math.inf
+    for start in range(lo, hi + 1, _ORACLE_CHUNK):
+        values = _cl_log_eps(cfg, np.arange(start, min(start + _ORACLE_CHUNK, hi + 1),
+                                            dtype=float))
+        i = int(np.argmin(values))  # argmin keeps the first (smallest) tie
+        if values[i] < best_v:  # and so does a strict minimum across chunks
+            best_n, best_v = start + i, values[i]
+    return best_n
 
 
 def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
@@ -232,7 +224,6 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
         )
     ul = ul_state(cfg, n_ul)
     dl = dl_state(cfg, n_ul)
-    report = _feasibility(ul.eps, dl.eps, cfg.eps_max)
     return SolveResult(
         n_ul_cont=cont.n_ul,
         n_ul=n_ul,
@@ -243,7 +234,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
         eps_cl=ul.eps + dl.eps,
         r_loop=loop_reliability(ul.eps, dl.eps),
         case=cont.case,
-        feasible=report.feasible,
+        feasible=not (ul.eps > cfg.eps_max or dl.eps > cfg.eps_max),
         iterations=cont.iterations,
         notes=cont.notes,
     )

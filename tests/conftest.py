@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from clfbl import SystemConfig
+from clfbl.derivatives import _dl_d_eps, _dl_link, _ul_d_eps, _ul_link
 
 TABLE1 = dict(
     d=8.0, f_s=250e3, M=1.0, E=0.65e-6, p_dl=10e-3, N=3e-3,
@@ -16,3 +18,13 @@ def table1() -> SystemConfig:
 
 def make_config(**overrides) -> SystemConfig:
     return SystemConfig(**{**TABLE1, **overrides})
+
+
+def d_eps_ul(cfg: SystemConfig, n_ul) -> np.ndarray:
+    """d eps_ul/d n_ul at each blocklength, from the array derivative kernel."""
+    return _ul_d_eps(cfg, _ul_link(cfg, np.asarray(n_ul, dtype=float)))[0]
+
+
+def d_eps_dl(cfg: SystemConfig, n_ul) -> np.ndarray:
+    """d eps_dl/d n_ul at each blocklength, from the array derivative kernel."""
+    return _dl_d_eps(cfg, _dl_link(cfg, np.asarray(n_ul, dtype=float)))[0]

@@ -53,16 +53,15 @@ from clfbl.derivatives import (
     _dl_eps,
     _ul_d_eps,
     _ul_eps,
+    _dl_link,
     _ul_link,
-    d_eps_dl_dn,
-    d_eps_ul_dn,
     dl_state,
     scan_columns,
     ul_state,
 )
 from clfbl.energy import Infeasible
 
-from conftest import TABLE1
+from conftest import TABLE1, d_eps_dl, d_eps_ul
 from test_symbolic import delta_ul
 
 SWEEP_POINTS = 50
@@ -226,25 +225,24 @@ def test_criterion_4_derivative_fidelity(table1_cfg, sweep):
     records, _ = sweep
     start = time.perf_counter()
     worst = 0.0
-    checked_ul = checked_dl = 0
+    checked = {"ul": 0, "dl": 0}
     for record in records:
         cfg = dataclasses.replace(table1_cfg, N=record.noise)
-        for n in record.scan.n_ul[::4]:
-            n = float(n)
-            h = min(max(1e-4, 1e-3 * n), (cfg.n_max - n) / 4.0)
-            if abs(ul_state(cfg, n).x) <= 8.0:
-                fd = fd_derivative(lambda m: float(_ul_eps(cfg, m)), n, 1, h=h)
-                err = abs(d_eps_ul_dn(cfg, n) - fd) / max(1.0, abs(fd))
-                worst = max(worst, err)
-                checked_ul += 1
-            dl = dl_state(cfg, n)
-            if abs(dl.x) <= 8.0:
-                # the step scales with the downlink codeword, as in the suite
-                h_dl = max(1e-4, 1e-3 * dl.n)
-                fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1, h=h_dl)
-                err = abs(d_eps_dl_dn(cfg, n) - fd) / max(1.0, abs(fd))
-                worst = max(worst, err)
-                checked_dl += 1
+        grid = record.scan.n_ul[::4]
+        n_dl = cfg.n_max - grid
+        # the downlink step scales with the downlink codeword, as in the suite
+        for side, link, eps, d_eps, h in (
+            ("ul", _ul_link(cfg, grid), _ul_eps, d_eps_ul,
+             np.minimum(np.maximum(1e-4, 1e-3 * grid), n_dl / 4.0)),
+            ("dl", _dl_link(cfg, grid), _dl_eps, d_eps_dl, np.maximum(1e-4, 1e-3 * n_dl)),
+        ):
+            ok = np.abs(link.x) <= 8.0
+            if ok.any():
+                fd = fd_derivative(lambda m: eps(cfg, m), grid[ok], 1, h=h[ok])
+                err = np.abs(d_eps(cfg, grid[ok]) - fd) / np.maximum(1.0, np.abs(fd))
+                worst = max(worst, float(np.max(err)))
+            checked[side] += int(ok.sum())
+    checked_ul, checked_dl = checked["ul"], checked["dl"]
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and checked_ul > 0 and elapsed < 30.0
     _verdict(

@@ -13,8 +13,6 @@ from clfbl import (
     convexity_scan,
     d_eps_cl_dn,
     d_eps_cl_sign,
-    d_eps_dl_dn,
-    d_eps_ul_dn,
     fd_derivative,
     feasible_domain,
     loop_log_error,
@@ -39,7 +37,7 @@ from clfbl.derivatives import (
     ul_state,
 )
 
-from conftest import make_config
+from conftest import d_eps_dl, d_eps_ul, make_config
 from test_symbolic import delta_ul, gamma
 
 LN2 = math.log(2.0)
@@ -47,6 +45,19 @@ LN2 = math.log(2.0)
 
 def _eps_cl(cfg, n):
     return float(_ul_eps(cfg, n) + _dl_eps(cfg, n))
+
+
+def _fd_first(eps, cfg, grid, h=None):
+    """Richardson first difference of eps(cfg, .) at every grid point at once,
+    with fd_derivative's default step max(1e-4, 1e-3*n) unless h is given."""
+    grid = np.asarray(grid, dtype=float)
+    h = np.maximum(1e-4, 1e-3 * grid) if h is None else h
+    return fd_derivative(lambda m: eps(cfg, m), grid, 1, h=h)
+
+
+def _fd_error(analytic, fd):
+    """|analytic - fd| / max(1, |fd|) at every point."""
+    return np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
 
 
 def signed_log_add(a, b):
@@ -91,22 +102,18 @@ class TestFdOracle:
 
 class TestUplinkDerivative:
     def test_matches_fd_at_20(self, table1):
-        fd = fd_derivative(lambda n: float(_ul_eps(table1, n)), 20.0, 1)
-        analytic = d_eps_ul_dn(table1, 20.0)
-        assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
+        fd = _fd_first(_ul_eps, table1, [20.0])
+        assert np.all(_fd_error(d_eps_ul(table1, [20.0]), fd) <= 1e-6)
 
     def test_matches_fd_across_domain(self, table1):
         dom = feasible_domain(table1)
-        for n in np.linspace(dom.n_lo, dom.n_hi, 40):
-            n = float(n)
-            fd = fd_derivative(lambda m: float(_ul_eps(table1, m)), n, 1)
-            analytic = d_eps_ul_dn(table1, n)
-            assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
+        grid = np.linspace(dom.n_lo, dom.n_hi, 40)
+        fd = _fd_first(_ul_eps, table1, grid)
+        assert np.all(_fd_error(d_eps_ul(table1, grid), fd) <= 1e-6)
 
     def test_negative_at_high_snr(self, table1):
         # comfortably above 0 dB the uplink always gains from more bits
-        for n in np.linspace(9.0, 45.0, 30):
-            assert d_eps_ul_dn(table1, float(n)) < 0.0
+        assert np.all(d_eps_ul(table1, np.linspace(9.0, 45.0, 30)) < 0.0)
 
     def test_upturn_near_zero_db_bound(self, table1):
         # at gamma = 1 the slope sign is that of -(4*ln2*d + n*(8*ln2 - 6)),
@@ -114,17 +121,15 @@ class TestUplinkDerivative:
         # eps_ul itself has an interior minimum before the 0 dB bound
         threshold = 4.0 * LN2 * 8.0 / (6.0 - 8.0 * LN2)
         assert threshold == pytest.approx(48.7678, abs=1e-3)
-        assert d_eps_ul_dn(table1, 54.0) > 0.0
-        eta = snr_blocklength_product(table1)
+        assert d_eps_ul(table1, [54.0])[0] > 0.0
         eps_at = lambda n: float(_ul_eps(table1, n))
         assert eps_at(49.0) < eps_at(54.0)  # non-monotone on the domain
 
     def test_outside_proven_region_only_fd_agreement(self, table1):
         # slightly above eta (gamma < 1): no sign guarantee, FD still agrees
-        n = snr_blocklength_product(table1) * 1.02
-        fd = fd_derivative(lambda m: float(_ul_eps(table1, m)), n, 1)
-        analytic = d_eps_ul_dn(table1, n)
-        assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
+        n = [snr_blocklength_product(table1) * 1.02]
+        fd = _fd_first(_ul_eps, table1, n)
+        assert np.all(_fd_error(d_eps_ul(table1, n), fd) <= 1e-6)
 
     def test_matches_fd_with_bandwidth_and_modulation(self):
         # B and M both enter the chain; FD agreement catches a lost factor
@@ -132,18 +137,17 @@ class TestUplinkDerivative:
             d=12.0, f_s=100e3, M=3.0, E=2e-6, p_dl=8e-3, N=2e-3,
             n_max=900.0, B=1.7,
         )
-        for n in (15.0, 40.0, 90.0):
-            for side, eps_fn, analytic_fn in (
-                ("ul", _ul_eps, d_eps_ul_dn),
-                ("dl", _dl_eps, d_eps_dl_dn),
-            ):
-                fd = fd_derivative(lambda m: float(eps_fn(cfg, m)), n, 1)
-                analytic = analytic_fn(cfg, n)
-                assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd)), side
+        grid = [15.0, 40.0, 90.0]
+        for side, eps_fn, analytic_fn in (
+            ("ul", _ul_eps, d_eps_ul),
+            ("dl", _dl_eps, d_eps_dl),
+        ):
+            fd = _fd_first(eps_fn, cfg, grid)
+            assert np.all(_fd_error(analytic_fn(cfg, grid), fd) <= 1e-6), side
 
     def test_degenerate_channel_rejected(self, table1):
         with pytest.raises(ValueError):
-            d_eps_ul_dn(table1, -3.0)
+            d_eps_cl_dn(table1, -3.0)
 
 
 class TestDownlinkDerivative:
@@ -152,13 +156,11 @@ class TestDownlinkDerivative:
         cfg = SystemConfig(
             d=8.0, f_s=250e3, M=1.0, E=1e-6, p_dl=5e-3, N=3e-3, n_max=100.0
         )
-        for n in np.linspace(40.0, 80.0, 25):
-            n = float(n)
-            assert abs(dl_state(cfg, n).x) < 8.0
-            fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1)
-            analytic = d_eps_dl_dn(cfg, n)
-            assert analytic > 0.0
-            assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
+        grid = np.linspace(40.0, 80.0, 25)
+        assert np.all(np.abs(_dl_link(cfg, grid).x) < 8.0)
+        analytic = d_eps_dl(cfg, grid)
+        assert np.all(analytic > 0.0)
+        assert np.all(_fd_error(analytic, _fd_first(_dl_eps, cfg, grid)) <= 1e-6)
 
     def test_sign_positive_across_domain_grid(self, table1):
         # doubles underflow here (x_dl ~ 74), so positivity is asserted on
@@ -171,12 +173,13 @@ class TestDownlinkDerivative:
             assert math.isfinite(log_mag[0])
 
     def test_boundary_blocklength_evaluates(self, table1):
-        value = d_eps_dl_dn(table1, table1.n_max - table1.d)
-        assert value >= 0.0  # n_dl = d exactly, no error raised
+        n_ul = table1.n_max - table1.d  # n_dl = d exactly, no error raised
+        assert math.isfinite(d_eps_cl_dn(table1, n_ul))
+        assert d_eps_dl(table1, [n_ul])[0] >= 0.0
 
     def test_lossless_coding_violation(self, table1):
         with pytest.raises(ValueError):
-            d_eps_dl_dn(table1, table1.n_max - table1.d + 0.5)
+            d_eps_cl_dn(table1, table1.n_max - table1.d + 0.5)
 
 
     def test_matches_fd_on_short_frames_across_sweep(self, table1):
@@ -190,25 +193,25 @@ class TestDownlinkDerivative:
             for noise in noise_grid(table1.p_dl, 50):
                 cfg = dataclasses.replace(table1, n_max=n_max, N=float(noise))
                 dom = feasible_domain(cfg)
-                for n in np.linspace(dom.n_lo, dom.n_hi, 50).tolist():
-                    if abs(dl_state(cfg, n).x) > 8.0:
-                        continue
-                    h = min(max(1e-4, 1e-3 * n), (cfg.n_max - n) / 4.0)
-                    fd = fd_derivative(lambda m: float(_dl_eps(cfg, m)), n, 1, h=h)
-                    analytic = d_eps_dl_dn(cfg, n)
-                    assert analytic > 0.0
-                    worst = max(worst, abs(analytic - fd) / max(1.0, abs(fd)))
-                    checked += 1
+                grid = np.linspace(dom.n_lo, dom.n_hi, 50)
+                grid = grid[np.abs(_dl_link(cfg, grid).x) <= 8.0]
+                if not grid.size:
+                    continue
+                h = np.minimum(np.maximum(1e-4, 1e-3 * grid), (cfg.n_max - grid) / 4.0)
+                analytic = d_eps_dl(cfg, grid)
+                assert np.all(analytic > 0.0)
+                fd = _fd_first(_dl_eps, cfg, grid, h=h)
+                worst = max(worst, float(np.max(_fd_error(analytic, fd))))
+                checked += grid.size
         assert checked > 0
         assert worst <= 1e-6
 
 
 class TestSignedLogs:
     def test_ul_signed_log_matches_double_value(self, table1):
-        for n in (12.0, 20.0, 35.0, 50.0):
-            _, sign, log_mag = _ul_d_eps(table1, _ul_link(table1, np.array([n])))
-            sign, log_mag = int(sign[0]), float(log_mag[0])
-            value = d_eps_ul_dn(table1, n)
+        grid = np.array([12.0, 20.0, 35.0, 50.0])
+        columns = _ul_d_eps(table1, _ul_link(table1, grid))
+        for value, sign, log_mag in zip(*(column.tolist() for column in columns)):
             assert math.copysign(1.0, value) == sign or value == 0.0
             assert sign * math.exp(log_mag) == pytest.approx(value, rel=1e-12)
 
@@ -242,7 +245,8 @@ class TestSignedLogs:
         n_hi = feasible_domain(cfg).n_hi
         assert n_hi == cfg.n_max - d and cfg.n_max - n_hi < d
         assert d_eps_cl_sign(cfg, n_hi) == 1
-        assert d_eps_dl_dn(cfg, n_hi) >= 0.0
+        assert math.isfinite(d_eps_cl_dn(cfg, n_hi))
+        assert d_eps_dl(cfg, [n_hi])[0] >= 0.0
 
     def test_zero_uplink_factor_gives_positive_sign(self, table1, monkeypatch):
         # where d eps_ul/d n_ul is exactly zero the downlink term decides
@@ -272,13 +276,10 @@ class TestSignedLogs:
         # its payload (table1: d = 8, n_max = 2500); NaN is rejected too
         ul_bad = not n_ul >= table1.d
         dl_bad = not table1.n_max - n_ul >= table1.d
-        for fn, bad in (
-            (d_eps_ul_dn, ul_bad),
-            (d_eps_dl_dn, dl_bad),
-            (d_eps_cl_sign, ul_bad or dl_bad),
-        ):
-            if bad:
-                with pytest.raises(ValueError, match="lossless coding"):
+        for fn in (d_eps_cl_dn, d_eps_cl_sign):
+            if ul_bad or dl_bad:
+                link = "n_ul" if ul_bad else "n_dl"
+                with pytest.raises(ValueError, match=f"lossless coding requires {link} >= d"):
                     fn(table1, n_ul)
             else:
                 fn(table1, n_ul)

@@ -28,7 +28,7 @@ from clfbl.derivatives import (
     scan_levels,
 )
 from clfbl.energy import Infeasible, feasible_domain
-from clfbl.fbl import _link_quantities, dispersion
+from clfbl.fbl import _link_quantities
 import clfbl.experiments as experiments
 from clfbl.experiments import (
     GENERATOR_ID,
@@ -196,16 +196,17 @@ class TestBlockedSweep:
 
     def test_downlink_dispersion_squares_by_a_product(self):
         # at sweep level 36 of g_dl = 0.7841, float ** 2 (libm pow) rounds
-        # (1 + gamma_dl)^2 otherwise than numpy's square; fbl.dispersion
+        # (1 + gamma_dl)^2 otherwise than numpy's square; the scalar kernel
         # squares by a product, which rounds as numpy's square does
         cfg = make_config(g_dl=0.7841)
         record = sweep_noise(cfg, 50, 200)[36]
         gamma = cfg.p_dl * cfg.g_dl / record.noise
-        assert dispersion(gamma) == 1.0 - 1.0 / np.square(1.0 + gamma)
-        assert dispersion(gamma) != 1.0 - 1.0 / (1.0 + gamma) ** 2
+        dispersion = _link_quantities(cfg.n_max / 2.0, gamma, cfg.d, cfg.B)[1]
+        assert dispersion == 1.0 - 1.0 / np.square(1.0 + gamma)
+        assert dispersion != 1.0 - 1.0 / (1.0 + gamma) ** 2
         n_dl = cfg.n_max - record.scan.n_ul
         omega = cfg.B * np.log1p(gamma) / math.log(2.0) - cfg.d / n_dl
-        x = math.log(2.0) * omega * np.sqrt(n_dl / dispersion(gamma))
+        x = math.log(2.0) * omega * np.sqrt(n_dl / dispersion)
         expected = log_ndtr(-x).view(np.uint64).tolist()
         assert record.scan.log_eps_dl.view(np.uint64).tolist() == expected
 

@@ -2,19 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clfbl import (
-    LinkState,
-    capacity,
-    dispersion,
-    log_q,
-    loop_reliability,
-    q_function,
-    snr,
-)
+from clfbl import LinkState, log_q, loop_reliability, q_function
+from clfbl.derivatives import _link_columns, dl_state
 from clfbl.energy import ul_snr_of_blocklength
+from clfbl.fbl import _link_quantities
 
 from conftest import make_config
 
@@ -84,55 +79,56 @@ class TestQFunction:
         assert log_q(200.0) < -19000.0
 
 
+def _capacity(gamma, B=1.0):
+    return _link_quantities(8.0, gamma, 8.0, B)[0]
+
+
+def _dispersion(gamma):
+    return _link_quantities(8.0, gamma, 8.0, 1.0)[1]
+
+
+def _columns_at(gammas):
+    """Capacity and dispersion of the array kernel, which takes gamma = 0
+    too (where beta = sqrt(n/V) is infinite)."""
+    with np.errstate(divide="ignore"):
+        cols = _link_columns(make_config(), 8.0, np.asarray(gammas, dtype=float))
+    return cols.capacity, cols.dispersion
+
+
 class TestSnr:
     def test_reference_downlink(self):
-        assert snr(10e-3, 1.0, 3e-3) == pytest.approx(10.0 / 3.0, rel=1e-15)
-
-    def test_zero_power(self):
-        assert snr(0.0, 1.0, 1.0) == 0.0
+        assert dl_state(make_config(), 54.0).gamma == pytest.approx(10.0 / 3.0, rel=1e-15)
 
     def test_gain_noise_scaling_cancels(self):
-        assert snr(0.123, 2.0, 2.0 * 0.7) == pytest.approx(
-            snr(0.123, 1.0, 0.7), rel=1e-15
-        )
-
-    def test_rejects_bad_noise(self):
-        with pytest.raises(ValueError):
-            snr(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            snr(1.0, 1.0, -1.0)
+        scaled = dl_state(make_config(p_dl=0.123, g_dl=2.0, N=2.0 * 0.7), 54.0)
+        plain = dl_state(make_config(p_dl=0.123, g_dl=1.0, N=0.7), 54.0)
+        assert scaled.gamma == pytest.approx(plain.gamma, rel=1e-15)
 
 
 class TestCapacityDispersion:
     def test_capacity_at_0db(self):
-        assert capacity(1.0, 1.0) == 1.0
+        assert _capacity(1.0, 1.0) == 1.0
 
     def test_capacity_zero(self):
-        assert capacity(0.0, 1.0) == 0.0
+        capacity, _ = _columns_at([0.0])
+        assert capacity.tolist() == [0.0]
 
     def test_capacity_log2_4(self):
-        assert capacity(3.0, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_capacity_rejects_negative(self):
-        with pytest.raises(ValueError):
-            capacity(-0.1)
+        assert _capacity(3.0, 1.0) == pytest.approx(2.0, rel=1e-15)
 
     def test_dispersion_values(self):
-        assert dispersion(1.0) == 0.75
-        assert dispersion(0.0) == 0.0
-        assert dispersion(10.0 / 3.0) == pytest.approx(160.0 / 169.0, rel=1e-14)
+        assert _dispersion(1.0) == 0.75
+        assert _columns_at([0.0])[1].tolist() == [0.0]
+        assert _dispersion(10.0 / 3.0) == pytest.approx(160.0 / 169.0, rel=1e-14)
 
     def test_dispersion_range_and_monotone(self):
+        _, values = _columns_at([0.1 * k for k in range(60)])
+        assert values[1:].tolist() == [_dispersion(0.1 * k) for k in range(1, 60)]
         previous = -1.0
-        for k in range(60):
-            value = dispersion(0.1 * k)
+        for k, value in enumerate(values.tolist()):
             assert 0.0 <= value < 1.0
             assert value > previous or k == 0
             previous = value
-
-    def test_dispersion_rejects_negative(self):
-        with pytest.raises(ValueError):
-            dispersion(-1e-9)
 
 
 class TestFblErrorRate:
@@ -146,7 +142,7 @@ class TestFblErrorRate:
         state = LinkState.from_snr(54.0, gamma, 8.0, 1.0)
         assert state.eps == pytest.approx(EPS_UL_AT_54, rel=1e-12)
         # second, log-domain implementation of the same quantity
-        assert math.exp(state.log_eps()) == pytest.approx(state.eps, rel=1e-12)
+        assert math.exp(log_q(state.x)) == pytest.approx(state.eps, rel=1e-12)
 
     def test_decreasing_in_gamma(self):
         values = [LinkState.from_snr(50.0, g, 8.0).eps for g in (0.8, 1.6, 3.2)]
@@ -199,8 +195,8 @@ class TestLoopCombinators:
 
 class TestLinkState:
     def test_reconstruction_bit_identical(self):
-        first = LinkState.from_power(54.0, 3e-3, 1.0, 3e-3, 8.0, 1.0)
-        second = LinkState.from_power(54.0, 3e-3, 1.0, 3e-3, 8.0, 1.0)
+        first = LinkState.from_snr(54.0, 3e-3 * 1.0 / 3e-3, 8.0, 1.0)
+        second = LinkState.from_snr(54.0, 3e-3 * 1.0 / 3e-3, 8.0, 1.0)
         assert first == second
 
     def test_eps_recomputes_from_x(self):
@@ -208,15 +204,17 @@ class TestLinkState:
         assert state.eps == q_function(state.x)
 
     def test_fields_consistent(self):
-        # the fields compose the public capacity/dispersion bit for bit
+        # the fields compose the model's formulas, written out, bit for bit
         for n, gamma, d, B in (
             (54.0, 1.1, 8.0, 1.0), (37.5, 0.013, 12.0, 1.7), (3000.0, 412.0, 29.0, 0.4),
         ):
             state = LinkState.from_snr(n, gamma, d, B)
-            assert state.capacity == capacity(gamma, B)
-            assert state.dispersion == dispersion(gamma)
-            assert state.omega == capacity(gamma, B) - d / n
-            assert state.beta == math.sqrt(n / dispersion(gamma))
+            capacity = B * math.log1p(gamma) / math.log(2.0)
+            dispersion = 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
+            assert state.capacity == capacity
+            assert state.dispersion == dispersion
+            assert state.omega == capacity - d / n
+            assert state.beta == math.sqrt(n / dispersion)
             assert state.x == math.log(2.0) * state.omega * state.beta
 
 

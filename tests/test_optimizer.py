@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ import clfbl.optimizer
 from clfbl import (
     OptimizerCase,
     SystemConfig,
-    check_feasibility,
     convexity_scan,
     d_eps_cl_dn,
     feasible_domain,
@@ -136,13 +136,16 @@ class TestFeasibility:
         result = solve(make_config(N=1e-12))
         assert result.eps_ul == 0.0 and result.eps_dl == 0.0
         assert result.feasible
-        assert check_feasibility(result, make_config(N=1e-12)).feasible
 
     def test_boundary_equality_is_feasible(self, table1):
+        # a cap equal to the larger error rate is met; one just below it is not
         result = solve(table1)
-        at_cap = dataclasses.replace(result, eps_dl=table1.eps_max)
-        report = check_feasibility(at_cap, table1)
-        assert report.feasible and report.violations == ()
+        worst = max(result.eps_ul, result.eps_dl)
+        assert worst > 0.0
+        at_cap = solve(dataclasses.replace(table1, eps_max=worst))
+        assert at_cap.n_ul == result.n_ul and at_cap.feasible
+        below = solve(dataclasses.replace(table1, eps_max=math.nextafter(worst, 0.0)))
+        assert below.n_ul == result.n_ul and not below.feasible
 
     def test_violated_direction_named(self):
         # noise high enough that the downlink misses the cap (the frame is
@@ -152,9 +155,7 @@ class TestFeasibility:
         )
         result = solve(cfg)
         assert result.eps_dl > cfg.eps_max
-        report = check_feasibility(result, cfg)
-        assert not report.feasible
-        assert "DL" in report.violations
+        assert not result.feasible
 
     def test_near_0db_downlink_still_meets_cap(self):
         # with ~2480 downlink bits, even gamma_dl ~ 1 keeps Q(x_dl) below
@@ -162,7 +163,7 @@ class TestFeasibility:
         cfg = make_config(N=9.9e-3)
         result = solve(cfg)
         assert result.eps_dl <= cfg.eps_max
-        assert check_feasibility(result, cfg).violations == ("UL",)
+        assert result.eps_ul > cfg.eps_max and not result.feasible
 
     def test_infeasibility_does_not_move_optimum(self):
         cfg = make_config(N=9.9e-3)
@@ -347,6 +348,47 @@ class TestCandidateStep:
             assert n_ul == oracle or _objective_tie(cfg, n_ul, oracle), cfg
 
 
+def _one_shot_argmin(cfg) -> int:
+    """The exhaustive integer argmin over the whole domain in one array."""
+    dom = feasible_domain(cfg)
+    lo, hi = math.ceil(dom.n_lo), math.floor(dom.n_hi)
+    return lo + int(np.argmin(_cl_log_eps(cfg, np.arange(lo, hi + 1, dtype=float))))
+
+
+class TestOracleChunks:
+    def test_long_frame_memory_bounded(self):
+        # the downlink is below its threshold, so solve takes the
+        # exhaustive argmin over a million integers
+        cfg = SystemConfig(d=100, f_s=250e3, M=1, E=1, p_dl=1e-7, N=1e-2, n_max=1e6)
+        tracemalloc.start()
+        try:
+            result = solve(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.case is OptimizerCase.EXHAUSTIVE and result.n_ul == 100
+        assert peak <= 8 * 2**20
+
+    def test_small_chunks_equal_one_shot_argmin(self, monkeypatch):
+        exhaustive = [cfg for cfg, case in _golden_cases()
+                      if case["result"].get("case") == "EXHAUSTIVE"]
+        assert exhaustive
+        configs = [*exhaustive, *_seeded_configs(11, 40)]
+        expected = [_one_shot_argmin(cfg) for cfg in configs]
+        assert [grid_search_oracle(cfg) for cfg in configs] == expected
+        monkeypatch.setattr(clfbl.optimizer, "_ORACLE_CHUNK", 7)
+        assert [grid_search_oracle(cfg) for cfg in configs] == expected
+
+
+def _golden_cases():
+    """(config, stored entry) of every solve_golden.json case."""
+    for case in json.loads((GOLDEN_DIR / "solve_golden.json").read_text()):
+        values = {k: v for k, v in case["config"].items() if k != "type"}
+        yield SystemConfig(**{
+            k: float.fromhex(v) if isinstance(v, str) else v for k, v in values.items()
+        }), case
+
+
 def _load_golden_module():
     spec = importlib.util.spec_from_file_location(
         "make_solve_golden", GOLDEN_DIR / "make_solve_golden.py"
@@ -361,17 +403,12 @@ class TestGoldenFixture:
         # every field of solve() on 300 configs, floats as float.hex; a
         # change to the solver's internals must leave all of them alone
         encode = _load_golden_module().encode
-        cases = json.loads((GOLDEN_DIR / "solve_golden.json").read_text())
+        cases = list(_golden_cases())
         assert len(cases) == 300
-        for case in cases:
-            values = {k: v for k, v in case["config"].items() if k != "type"}
-            cfg = SystemConfig(**{
-                k: float.fromhex(v) if isinstance(v, str) else v
-                for k, v in values.items()
-            })
+        for cfg, case in cases:
             assert encode(cfg) == case["config"]
             assert encode(solve(cfg)) == case["result"], cfg
-        cases_of = {case["result"].get("case") for case in cases}
+        cases_of = {case["result"].get("case") for _, case in cases}
         assert cases_of == {None, *(c.name for c in OptimizerCase)}
 
 

@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from clfbl.derivatives import (
-    _dl_slope_factor,
-    _ul_slope_factor,
-    d_eps_dl_dn,
-    d_eps_ul_dn,
-)
+from clfbl.derivatives import _dl_slope_factor, _ul_slope_factor
 from clfbl.energy import feasible_domain, snr_blocklength_product
 from clfbl.fbl import _link_quantities
 
-from conftest import make_config
+from conftest import d_eps_dl, d_eps_ul, make_config
 
 n, gamma, eta, d, B = sp.symbols("n gamma eta d B", positive=True)
 
@@ -135,11 +130,13 @@ def test_derivative_values_match_symbolic_reference(cfg):
     # there the kernel is only required to have underflowed as well
     dom = feasible_domain(cfg)
     normal = {"ul": 0, "dl": 0}
-    for n_ul in np.linspace(dom.n_lo, dom.n_hi, 25).tolist():
+    grid = np.linspace(dom.n_lo, dom.n_hi, 25)
+    values = zip(d_eps_ul(cfg, grid).tolist(), d_eps_dl(cfg, grid).tolist())
+    for n_ul, (value_ul, value_dl) in zip(grid.tolist(), values):
         ref_ul, ref_dl = _reference_derivatives(cfg, n_ul)
         for side, value, ref in (
-            ("ul", d_eps_ul_dn(cfg, n_ul), ref_ul),
-            ("dl", d_eps_dl_dn(cfg, n_ul), ref_dl),
+            ("ul", value_ul, ref_ul),
+            ("dl", value_dl, ref_dl),
         ):
             if abs(ref) >= sys.float_info.min:
                 assert value == pytest.approx(ref, rel=1e-12, abs=0.0), (side, n_ul)
