@@ -28,13 +28,14 @@ exceeds the downlink's, zero where the two finite log-magnitudes tie,
 and positive otherwise.  ``d_eps_cl_sign`` applies that rule in plain
 floats and ``_cl_sign`` applies it to arrays.
 
-There is one derivative kernel, in numpy arrays (``_ul_d_eps`` and
-``_dl_d_eps``): the scan sums it over its grids, the validation suite
-reads it, and ``d_eps_cl_dn`` is its sum at one point.  The scalar
-``math`` path serves only the solver's sign kernel ``d_eps_cl_sign``,
-whose bits ``tests/data/solve_golden.json`` pins, and LinkState.  Both
-paths share the slope factors and square 1 + gamma as a product.  The
-scan and ``fd_derivative`` share one Richardson stencil, ``_richardson``.
+Each formula is written once, for plain floats and arrays alike: the link
+quantities (``fbl._link_quantities``, backend ``math`` or ``numpy``), the
+slope factors, and the derivative log-magnitudes ``_ul_log_d_eps`` and
+``_dl_log_d_eps`` (``math.log`` or ``np.log``).  The array kernels
+``_ul_d_eps`` and ``_dl_d_eps`` feed the scan, the validation suite and
+``d_eps_cl_dn``; the solver's sign kernel ``d_eps_cl_sign`` and LinkState
+stay on ``math``, whose log1p the golden fixtures pin.  The scan and
+``fd_derivative`` share one Richardson stencil, ``_richardson``.
 """
 
 from __future__ import annotations
@@ -121,20 +122,9 @@ def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
     return _Noise(*(np.array(column)[:, None] for column in zip(*map(_noise, cfgs))))
 
 
-def _link_columns(cfg: SystemConfig, n, gamma) -> _LinkColumns:
-    """The numpy twin of ``fbl._link_quantities``, kept apart because
-    ``np.log1p`` and ``math.log1p`` round differently on some inputs.  Its
-    dispersion is the same product, so both give the same bits."""
-    cap = cfg.B * np.log1p(gamma) / _LN2
-    disp = 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
-    omega = cap - cfg.d / n
-    beta = np.sqrt(n / disp)
-    return _LinkColumns(n, gamma, cap, disp, omega, beta, _LN2 * omega * beta)
-
-
 def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
     gamma = (snr_blocklength_product(cfg) if noise is None else noise.eta) / n_ul
-    return _link_columns(cfg, n_ul, gamma)
+    return _LinkColumns(n_ul, gamma, *_link_quantities(n_ul, gamma, cfg.d, cfg.B, np))
 
 
 def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
@@ -144,8 +134,8 @@ def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColum
             f"downlink blocklength must stay positive, got n_ul={n_ul!r} "
             f"with n_max={cfg.n_max!r}"
         )
-    noise = _noise(cfg) if noise is None else noise
-    return _link_columns(cfg, n_dl, noise.gamma_dl)
+    gamma = (_noise(cfg) if noise is None else noise).gamma_dl
+    return _LinkColumns(n_dl, gamma, *_link_quantities(n_dl, gamma, cfg.d, cfg.B, np))
 
 
 def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):
@@ -187,24 +177,34 @@ def _dl_slope_factor(cfg: SystemConfig, n, V, b, w):
     return b * cfg.d / n**2 + w / (2.0 * b * V)
 
 
+def _ul_log_d_eps(x, factor, log):
+    """log|d eps_ul/d n_ul| = log|phi| + log|factor|, with the backend's
+    ``log`` (``math.log`` or ``np.log``); -inf where the factor is 0."""
+    return _LOG_PHI_COEFF - 0.5 * x * x + log(abs(factor))
+
+
+def _dl_log_d_eps(cfg: SystemConfig, n, cap, V, b, x, log):
+    """log(d eps_dl/d n_ul) at n_dl = n, with the backend's ``log``; the
+    bracket takes its positive form (d + C*n_dl)/(2*beta*V*n_dl)."""
+    bracket = log(cfg.d + cap * n) - log(2.0 * b * V * n)
+    return _LOG_PHI_COEFF - 0.5 * x * x + bracket
+
+
 def _ul_d_eps(cfg: SystemConfig, ul: _LinkColumns):
     """(d eps_ul/d n_ul, its exact sign, log|value|) over uplink columns;
     phi < 0, so the sign is opposite to the slope factor's."""
     factor = _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
     sign = np.where(factor == 0.0, 0, np.where(factor > 0.0, -1, 1))
     with np.errstate(divide="ignore"):
-        log_mag = _LOG_PHI_COEFF - 0.5 * ul.x * ul.x + np.log(np.abs(factor))
+        log_mag = _ul_log_d_eps(ul.x, factor, np.log)
     return _phi(ul.x) * factor, sign, log_mag
 
 
 def _dl_d_eps(cfg: SystemConfig, dl: _LinkColumns):
-    """(d eps_dl/d n_ul, log|value|) over downlink columns; the sign is +1,
-    and the log takes the bracket's positive form (d + C*n_dl)/(2*beta*V*n_dl)."""
+    """(d eps_dl/d n_ul, log|value|) over downlink columns; the sign is +1."""
     value = -_phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
-    log_bracket = np.log(cfg.d + dl.capacity * dl.n) - np.log(
-        2.0 * dl.beta * dl.dispersion * dl.n
-    )
-    return value, _LOG_PHI_COEFF - 0.5 * dl.x * dl.x + log_bracket
+    log_mag = _dl_log_d_eps(cfg, dl.n, dl.capacity, dl.dispersion, dl.beta, dl.x, np.log)
+    return value, log_mag
 
 
 def _check_payload(cfg: SystemConfig, n_ul: float) -> None:
@@ -237,11 +237,10 @@ def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
     factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
     if not factor > 0.0:
         return 1
-    log_ul = _LOG_PHI_COEFF - 0.5 * x * x + math.log(factor)
+    log_ul = _ul_log_d_eps(x, factor, math.log)
     n_dl = cfg.n_max - n_ul
     cap, V, w, b, x = _link_quantities(n_dl, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
-    log_bracket = math.log(cfg.d + cap * n_dl) - math.log(2.0 * b * V * n_dl)
-    log_dl = _LOG_PHI_COEFF - 0.5 * x * x + log_bracket
+    log_dl = _dl_log_d_eps(cfg, n_dl, cap, V, b, x, math.log)
     if log_ul > log_dl:
         return -1
     return 0 if log_ul == log_dl > -math.inf else 1

@@ -58,17 +58,16 @@ def log_q(x: float) -> float:
     return float(_log_eps_of(x))
 
 
-def _link_quantities(n: float, gamma: float, d: float, B: float) -> tuple[float, ...]:
-    """(capacity, dispersion, omega, beta, x) of one link in plain floats: the
-    formulas of :class:`LinkState` without its checks (n >= d >= 1, gamma > 0).
-
-    Kept apart from ``derivatives._link_columns``: ``math.log1p`` and
-    ``np.log1p`` differ in the last bit on about 7% of the table1 sweep's
-    uplink SNRs, and ``tests/data/solve_golden.json`` pins this side."""
-    cap = B * math.log1p(gamma) / _LN2
+def _link_quantities(n, gamma, d: float, B: float, xp=math) -> tuple:
+    """(capacity, dispersion, omega, beta, x) of one link, the formulas of
+    :class:`LinkState` without its checks (n >= d >= 1, gamma > 0), with the
+    ``log1p`` and ``sqrt`` of backend ``xp``: ``math`` for floats, ``numpy``
+    for arrays.  Callers keep their backend: the two ``log1p`` differ in the
+    last bit on ~7% of table1 uplink SNRs, and the golden fixtures pin both."""
+    cap = B * xp.log1p(gamma) / _LN2
     disp = 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
     omega = cap - d / n
-    beta = math.sqrt(n / disp)
+    beta = xp.sqrt(n / disp)
     return cap, disp, omega, beta, _LN2 * omega * beta
 
 

@@ -6,8 +6,8 @@ x > 0, eps < 1/2), so the continuous optimum follows from the sign of its
 first derivative g at the bounds: left bound if g(n_lo) >= 0, right bound
 if g(n_hi) <= 0, otherwise the unique interior root of g, found by
 bisection on the plain-float ``d_eps_cl_sign``.  The integer allocation is
-the better neighbor of the continuous optimum; per-direction error-rate
-caps are checked afterwards without altering it.
+the better neighbor of the continuous optimum by the oracle's argmin rule;
+per-direction error-rate caps are checked afterwards without altering it.
 
 At or below a threshold the Q tail turns concave.  ``solve`` decides the
 regime up front, in closed form: x has the sign of n*C - d, which is
@@ -151,14 +151,17 @@ def _integer_range(dom: DomainBounds) -> tuple[int, int] | Infeasible:
     return lo, hi
 
 
-def _best_neighbour(cfg: SystemConfig, n_ul_cont: float, lo: int, hi: int) -> int:
-    """Of floor and ceil of n_ul_cont, clamped into [lo, hi], the one minimizing
-    (log eps_cl, n) in one array evaluation, which gives the same bits as
-    ``loop_log_error`` at each element."""
-    ns = sorted({min(max(math.floor(n_ul_cont), lo), hi),
-                 min(max(math.ceil(n_ul_cont), lo), hi)})
-    values = _cl_log_eps(cfg, np.array(ns, dtype=float)).tolist()
-    return min(zip(values, ns))[1]
+def _argmin(cfg: SystemConfig, lo: int, hi: int) -> int:
+    """The smallest n in [lo, hi] minimizing log eps_cl, evaluated in chunks of
+    ``_ORACLE_CHUNK`` integers, so memory does not grow with the range."""
+    best_n, best_v = lo, math.inf
+    for start in range(lo, hi + 1, _ORACLE_CHUNK):
+        values = _cl_log_eps(cfg, np.arange(start, min(start + _ORACLE_CHUNK, hi + 1),
+                                            dtype=float))
+        i = int(values.argmin())  # argmin keeps the first (smallest) tie
+        if values[i] < best_v:  # and so does a strict minimum across chunks
+            best_n, best_v = start + i, values[i]
+    return best_n
 
 
 def grid_search_oracle(
@@ -168,20 +171,12 @@ def grid_search_oracle(
 
     Evaluates every integer blocklength (in log space, so deep-tail
     values still order correctly) and returns the smallest argmin.
-    Runtime is linear in the domain width, memory is not (chunks of ``_ORACLE_CHUNK``).
+    Runtime is linear in the domain width, memory is not.
     """
     bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
     if isinstance(bounds, Infeasible):
         return bounds
-    lo, hi = bounds
-    best_n, best_v = lo, math.inf
-    for start in range(lo, hi + 1, _ORACLE_CHUNK):
-        values = _cl_log_eps(cfg, np.arange(start, min(start + _ORACLE_CHUNK, hi + 1),
-                                            dtype=float))
-        i = int(np.argmin(values))  # argmin keeps the first (smallest) tie
-        if values[i] < best_v:  # and so does a strict minimum across chunks
-            best_n, best_v = start + i, values[i]
-    return best_n
+    return _argmin(cfg, *bounds)
 
 
 def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
@@ -197,6 +192,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     bounds = _integer_range(dom)
     if isinstance(bounds, Infeasible):
         return bounds
+    lo, hi = bounds
     # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
     # downlink's is positive only below n_ul = n_max - d/C_dl
     x_ul = _link_quantities(dom.n_lo, dom.eta / dom.n_lo, cfg.d, cfg.B)[4]
@@ -205,7 +201,8 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     if x_ul > 0.0 and x_dl > 0.0:
         top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / cap_dl))
         cont = optimize_continuous(cfg, dom if top == dom.n_hi else replace(dom, n_hi=top))
-        n_ul = _best_neighbour(cfg, cont.n_ul, *bounds)
+        # floor and ceil of a point in [n_lo, n_hi] lie in [lo - 1, hi + 1]
+        n_ul = _argmin(cfg, max(math.floor(cont.n_ul), lo), min(math.ceil(cont.n_ul), hi))
         # past top, eps_dl > 1/2: the bisection's answer stands if it beats that
         why = None
         if top < dom.n_hi and not loop_log_error(cfg, n_ul) <= math.log(0.5):
@@ -220,7 +217,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
         n_ul = grid_search_oracle(cfg, dom)
         cont = ContinuousSolution(
             float(n_ul), OptimizerCase.EXHAUSTIVE, 0,
-            (f"{why}; took the exhaustive integer argmin over [{bounds[0]}, {bounds[1]}]",),
+            (f"{why}; took the exhaustive integer argmin over [{lo}, {hi}]",),
         )
     ul = ul_state(cfg, n_ul)
     dl = dl_state(cfg, n_ul)

@@ -6,9 +6,9 @@ against exhaustive integer search, the analytic loop reliability against
 a seeded Monte Carlo run) and reports its worst residual.  On an
 infeasible scenario every suite is skipped rather than failed.
 
-The analytic derivatives come from the one array derivative kernel in
-:mod:`clfbl.derivatives`, the same one the grid scan reads; the scalar
-``math`` path there serves only the solver's sign kernel and LinkState.
+The analytic derivatives come from the array derivative kernel in
+:mod:`clfbl.derivatives`, the one the grid scan reads: the numpy backend
+of the same formulas the solver's sign kernel evaluates in plain floats.
 """
 
 from __future__ import annotations

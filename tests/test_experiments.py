@@ -22,7 +22,6 @@ from clfbl import (
 from clfbl.cli import grid_columns
 from clfbl.derivatives import (
     ScanReport,
-    _link_columns,
     convexity_scan,
     scan_columns,
     scan_levels,
@@ -216,7 +215,7 @@ class TestBlockedSweep:
         gammas = np.exp(np.random.default_rng(5).uniform(-12.0, 12.0, 20_000))
         assert any((1.0 + g) ** 2 != (1.0 + g) * (1.0 + g) for g in gammas.tolist())
         scalar = [_link_quantities(100.0, g, table1.d, table1.B)[1] for g in gammas.tolist()]
-        array = _link_columns(table1, 100.0, gammas).dispersion
+        array = _link_quantities(100.0, gammas, table1.d, table1.B, np)[1]
         assert np.array(scalar).view(np.uint64).tolist() == array.view(np.uint64).tolist()
 
     def test_table1_violation_count(self, table1):

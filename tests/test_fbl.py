@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clfbl import LinkState, log_q, loop_reliability, q_function
-from clfbl.derivatives import _link_columns, dl_state
+from clfbl.derivatives import dl_state
 from clfbl.energy import ul_snr_of_blocklength
 from clfbl.fbl import _link_quantities
 
@@ -88,11 +88,11 @@ def _dispersion(gamma):
 
 
 def _columns_at(gammas):
-    """Capacity and dispersion of the array kernel, which takes gamma = 0
+    """Capacity and dispersion of the numpy backend, which takes gamma = 0
     too (where beta = sqrt(n/V) is infinite)."""
     with np.errstate(divide="ignore"):
-        cols = _link_columns(make_config(), 8.0, np.asarray(gammas, dtype=float))
-    return cols.capacity, cols.dispersion
+        cap, disp, *_ = _link_quantities(8.0, np.asarray(gammas, dtype=float), 8.0, 1.0, np)
+    return cap, disp
 
 
 class TestSnr:

@@ -119,6 +119,19 @@ class TestRefineInteger:
         assert result.n_ul in (math.floor(result.n_ul_cont), math.ceil(result.n_ul_cont))
         assert result.n_ul == grid_search_oracle(table1)
 
+    def test_exact_tie_takes_the_floor(self, monkeypatch):
+        # with floor and ceil of n_ul_cont tied exactly, solve takes the
+        # smaller, as grid_search_oracle does; untied, this config takes
+        # the ceil (n_ul_cont = 83.598)
+        cfg = make_config(N=1e-3)
+        result = solve(cfg)
+        floor = math.floor(result.n_ul_cont)
+        assert result.case is OptimizerCase.INTERIOR_ROOT
+        assert result.n_ul == floor + 1
+        monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps",
+                            lambda cfg, n_ul: np.zeros_like(n_ul))
+        assert solve(cfg).n_ul == floor
+
     def test_empty_integer_range(self):
         # domain [9.2, 9.7] contains no integer
         cfg = SystemConfig(

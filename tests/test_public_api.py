@@ -1,4 +1,5 @@
-"""The package's public names, and the one module that calls scipy."""
+"""The package's public names, the one module that calls scipy, and the one
+link formula."""
 
 import ast
 from pathlib import Path
@@ -6,11 +7,17 @@ from pathlib import Path
 import clfbl
 
 
+def _module_trees():
+    """(file name, AST) of each clfbl module."""
+    for path in Path(clfbl.__file__).resolve().parent.glob("*.py"):
+        yield path.name, ast.parse(path.read_text())
+
+
 def _scipy_importers() -> set[str]:
     """Names of the clfbl modules with an import of scipy or a submodule."""
     importers = set()
-    for path in Path(clfbl.__file__).resolve().parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, tree in _module_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -18,7 +25,7 @@ def _scipy_importers() -> set[str]:
             else:
                 continue
             if any(m == "scipy" or m.startswith("scipy.") for m in modules):
-                importers.add(path.name)
+                importers.add(name)
     return importers
 
 
@@ -30,3 +37,14 @@ def test_exports_resolve_and_only_fbl_imports_scipy():
     assert len(set(clfbl.__all__)) == len(clfbl.__all__)
     # Q and log Q come from fbl._eps_of and fbl._log_eps_of alone
     assert _scipy_importers() == {"fbl.py"}
+
+
+def test_link_formula_has_one_copy():
+    # fbl._link_quantities computes the capacity for floats and arrays
+    # alike; a second log1p call would be a fork of the link formula
+    calls = [
+        node for _, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log1p"
+    ]
+    assert len(calls) == 1
