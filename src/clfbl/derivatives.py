@@ -25,7 +25,7 @@ The sign of d eps_cl/d n_ul needs no general signed-log sum, because
 the downlink term is always positive: the sum is negative only where
 the uplink term is negative (slope factor > 0) and its log-magnitude
 exceeds the downlink's, zero where the two finite log-magnitudes tie,
-and positive otherwise.  ``d_eps_cl_sign`` applies that rule in plain
+and positive otherwise.  ``_sign_kernel`` applies that rule in plain
 floats and ``_cl_sign`` applies it to arrays.
 
 Each formula is written once, for plain floats and arrays alike: the link
@@ -33,7 +33,8 @@ quantities (``fbl._link_quantities``, backend ``math`` or ``numpy``), the
 slope factors, and the derivative log-magnitudes ``_ul_log_d_eps`` and
 ``_dl_log_d_eps`` (``math.log`` or ``np.log``).  The array kernels
 ``_ul_d_eps`` and ``_dl_d_eps`` feed the scan, the validation suite and
-``d_eps_cl_dn``; the solver's sign kernel ``d_eps_cl_sign`` and LinkState
+``d_eps_cl_dn``; the solver's per-config sign kernel ``_sign_kernel``
+(``d_eps_cl_sign`` is that kernel at one checked point) and LinkState
 stay on ``math``, whose log1p the golden fixtures pin.  The scan and
 ``fd_derivative`` share one Richardson stencil, ``_richardson``.
 """
@@ -47,7 +48,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fbl import LinkState, SystemConfig, _eps_of, _link_quantities, _log_eps_of
+from .fbl import (
+    LinkState,
+    SystemConfig,
+    _channel,
+    _code,
+    _eps_of,
+    _link_quantities,
+    _log_eps_of,
+)
 from .energy import (
     DomainBounds,
     Infeasible,
@@ -167,8 +176,10 @@ def _ul_slope_factor(cfg: SystemConfig, n, g, V, b, w):
 
     Takes n, gamma, V, beta and omega as plain floats or arrays.
     """
-    omega_p = cfg.d / n**2 - cfg.B * g / (_LN2 * (1.0 + g) * n)
-    beta_p = (V * (1.0 + g) ** 3 + 2.0 * g) / (2.0 * b * V**2 * (1.0 + g) ** 3)
+    g1 = 1.0 + g
+    cube = g1**3
+    omega_p = cfg.d / n**2 - cfg.B * g / (_LN2 * g1 * n)
+    beta_p = (V * cube + 2.0 * g) / (2.0 * b * V**2 * cube)
     return b * omega_p + w * beta_p
 
 
@@ -225,25 +236,42 @@ def d_eps_cl_dn(cfg: SystemConfig, n_ul: float) -> float:
     return float(ul[0][0] + dl[0][0])
 
 
-def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
-    """Sign of d eps_cl / d n_ul, robust to underflow of either term; the
-    solver's bisection kernel, in plain floats with no LinkState or erfc.
-    The sign rule is the one in the module docstring; the downlink term
-    is evaluated only where the uplink term is negative.
+def _sign_kernel(cfg: SystemConfig) -> Callable[[float], int]:
+    """The sign of d eps_cl / d n_ul as a function of n_ul alone, for the
+    solver's bisection, with eta and the downlink's capacity and dispersion
+    computed once per config.  Each call evaluates the uplink and, only
+    where the uplink term is negative, the downlink, in plain floats with
+    no LinkState or erfc, and applies the sign rule of the module
+    docstring.  Unchecked: n_ul must lie in [d, n_max - d].
     """
+    eta, d, B, n_max = snr_blocklength_product(cfg), cfg.d, cfg.B, cfg.n_max
+    cap_dl, V_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, B)
+    log = math.log
+
+    def sign(n_ul: float) -> int:
+        gamma = eta / n_ul
+        cap, V = _channel(gamma, B)
+        w, b, x = _code(n_ul, cap, V, d)
+        factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
+        if not factor > 0.0:
+            return 1
+        log_ul = _ul_log_d_eps(x, factor, log)
+        n_dl = n_max - n_ul
+        _, b, x = _code(n_dl, cap_dl, V_dl, d)
+        log_dl = _dl_log_d_eps(cfg, n_dl, cap_dl, V_dl, b, x, log)
+        if log_ul > log_dl:
+            return -1
+        return 0 if log_ul == log_dl > -math.inf else 1
+
+    return sign
+
+
+def d_eps_cl_sign(cfg: SystemConfig, n_ul: float) -> int:
+    """Sign of d eps_cl / d n_ul, robust to underflow of either term: the
+    solver's sign kernel at one point, after checking that both links
+    carry the payload."""
     _check_payload(cfg, n_ul)
-    gamma = snr_blocklength_product(cfg) / n_ul
-    _, V, w, b, x = _link_quantities(n_ul, gamma, cfg.d, cfg.B)
-    factor = _ul_slope_factor(cfg, n_ul, gamma, V, b, w)
-    if not factor > 0.0:
-        return 1
-    log_ul = _ul_log_d_eps(x, factor, math.log)
-    n_dl = cfg.n_max - n_ul
-    cap, V, w, b, x = _link_quantities(n_dl, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
-    log_dl = _dl_log_d_eps(cfg, n_dl, cap, V, b, x, math.log)
-    if log_ul > log_dl:
-        return -1
-    return 0 if log_ul == log_dl > -math.inf else 1
+    return _sign_kernel(cfg)(n_ul)
 
 
 def _cl_sign(sign_ul, log_ul, log_dl) -> np.ndarray:

@@ -5,9 +5,15 @@ while both links are above their capacity thresholds (decoding argument
 x > 0, eps < 1/2), so the continuous optimum follows from the sign of its
 first derivative g at the bounds: left bound if g(n_lo) >= 0, right bound
 if g(n_hi) <= 0, otherwise the unique interior root of g, found by
-bisection on the plain-float ``d_eps_cl_sign``.  The integer allocation is
-the better neighbor of the continuous optimum by the oracle's argmin rule;
-per-direction error-rate caps are checked afterwards without altering it.
+bisection on one plain-float sign kernel per solve
+(``derivatives._sign_kernel``; ``d_eps_cl_sign`` is that kernel at one
+point).  The integer allocation is the better neighbour of the continuous
+optimum, ranked by log eps_cl in plain floats; where the two values lie
+closer than the ``math`` and numpy backends can disagree (``_RANK_TOL``),
+the oracle's array argmin decides, so the choice is that argmin's either
+way.  The error rates come from the decoding arguments of that ranking;
+per-direction error-rate caps are checked afterwards without altering
+the allocation.
 
 At or below a threshold the Q tail turns concave.  ``solve`` decides the
 regime up front, in closed form: x has the sign of n*C - d, which is
@@ -29,21 +35,34 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fbl import SystemConfig, _link_quantities, loop_reliability
-from .energy import DomainBounds, Infeasible, feasible_domain, ul_power_of_blocklength
-from .derivatives import (
-    _cl_log_eps,
-    d_eps_cl_sign,
-    dl_state,
-    loop_log_error,
-    ul_state,
+from .fbl import (
+    SystemConfig,
+    _channel,
+    _code,
+    _link_quantities,
+    _log_eps_of,
+    loop_reliability,
+    q_function,
 )
+from .energy import DomainBounds, Infeasible, feasible_domain, ul_power_of_blocklength
+from .derivatives import _check_payload, _cl_log_eps, _sign_kernel, loop_log_error
 
 #: bisection stops once the bracketing interval is narrower than this (bits)
 ROOT_INTERVAL_TOL = 1e-6
 
 #: most integers ``grid_search_oracle`` evaluates in one array pass
 _ORACLE_CHUNK = 1 << 16
+
+#: ``solve`` ranks the floor and ceil of the continuous optimum by their
+#: log eps_cl on the ``math`` backend; ``_argmin`` uses numpy's.  The two
+#: differ only in ``log1p``, by a unit or so in the last place of the
+#: capacity C.  That moves a link's x by at most beta*dC plus the rounding
+#: of x, and log Q(x) by at most |x| + 1 times as much, as
+#: |d log Q/dx| < |x| + 1.  So the numpy value lies within about
+#: 14 * 2**-53 scales of the math one, with ``_point``'s scale
+#: (|x| + 1)(beta*C + |x| + 1) summed over both links.  Where the two
+#: values are not 2**-48 scales apart, ``_argmin`` decides.
+_RANK_TOL = 2.0**-48
 
 
 class OptimizerCase(enum.Enum):
@@ -95,14 +114,24 @@ def optimize_continuous(
 ) -> ContinuousSolution | Infeasible:
     """Locate the continuous minimizer of eps_cl over the feasible domain.
 
+    This is the bisection step of :func:`solve`, which is the entry point:
+    it has no regime test of its own, so where a link is at or below its
+    capacity threshold it can return a point far from the integer argmin
+    (``INTERIOR_ROOT`` at 596.7 on d=21, E=3.32e-8, p_dl=1.133e-9,
+    N=5.696e-6, n_max=893, where ``solve`` and the oracle give 91).
+
     Raises NotConvexError when the derivative is positive at the left
     bound and negative at the right, which convexity rules out.
     """
     dom = feasible_domain(cfg) if domain is None else domain
     if dom.empty:
         return Infeasible("empty blocklength domain", dom)
-    s_lo = d_eps_cl_sign(cfg, dom.n_lo)
-    s_hi = d_eps_cl_sign(cfg, dom.n_hi)
+    # every bisection point lies between the two checked bounds
+    _check_payload(cfg, dom.n_lo)
+    _check_payload(cfg, dom.n_hi)
+    sign = _sign_kernel(cfg)
+    s_lo = sign(dom.n_lo)
+    s_hi = sign(dom.n_hi)
     if s_lo > 0 and s_hi < 0:
         # interior maximum: possible once the downlink drops below its
         # capacity threshold inside the domain (eps_cl not convex there)
@@ -132,7 +161,7 @@ def optimize_continuous(
         if mid <= lo or mid >= hi:  # interval below float resolution
             break
         iterations += 1
-        if d_eps_cl_sign(cfg, mid) >= 0:
+        if sign(mid) >= 0:
             hi = mid
         else:
             lo = mid
@@ -179,6 +208,30 @@ def grid_search_oracle(
     return _argmin(cfg, *bounds)
 
 
+def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: int) -> tuple:
+    """(x_ul, x_dl, scale) at n_ul = n on the ``math`` backend: the decoding
+    arguments of ``LinkState.from_snr`` bit for bit, and the scale of
+    ``_RANK_TOL``."""
+    cap, disp = _channel(eta / n, cfg.B)
+    _, b_ul, x_ul = _code(n, cap, disp, cfg.d)
+    _, b_dl, x_dl = _code(cfg.n_max - n, *channel_dl, cfg.d)
+    scale = ((abs(x_ul) + 1.0) * (b_ul * cap + abs(x_ul) + 1.0)
+             + (abs(x_dl) + 1.0) * (b_dl * channel_dl[0] + abs(x_dl) + 1.0))
+    return x_ul, x_dl, scale
+
+
+def _better(cfg: SystemConfig, points: dict, a: int, b: int) -> int:
+    """Of a < b, the one ``_argmin(cfg, a, b)`` returns: read off the
+    ``math`` backend's log eps_cl where the two values are far enough apart
+    (``_RANK_TOL``), from ``_argmin`` itself where they are not."""
+    (xa_ul, xa_dl, sa), (xb_ul, xb_dl, sb) = points[a], points[b]
+    va = np.logaddexp(_log_eps_of(xa_ul), _log_eps_of(xa_dl))
+    vb = np.logaddexp(_log_eps_of(xb_ul), _log_eps_of(xb_dl))
+    if abs(va - vb) > _RANK_TOL * (sa + sb):
+        return a if va < vb else b
+    return _argmin(cfg, a, b)
+
+
 def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     """End-to-end allocation: domain, continuous optimum, integer refinement.
 
@@ -193,16 +246,19 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     if isinstance(bounds, Infeasible):
         return bounds
     lo, hi = bounds
+    channel_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, cfg.B)
     # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
     # downlink's is positive only below n_ul = n_max - d/C_dl
     x_ul = _link_quantities(dom.n_lo, dom.eta / dom.n_lo, cfg.d, cfg.B)[4]
-    cap_dl, _, _, _, x_dl = _link_quantities(
-        cfg.n_max - dom.n_lo, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
+    x_dl = _code(cfg.n_max - dom.n_lo, *channel_dl, cfg.d)[2]
+    points = {}
     if x_ul > 0.0 and x_dl > 0.0:
-        top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / cap_dl))
+        top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / channel_dl[0]))
         cont = optimize_continuous(cfg, dom if top == dom.n_hi else replace(dom, n_hi=top))
         # floor and ceil of a point in [n_lo, n_hi] lie in [lo - 1, hi + 1]
-        n_ul = _argmin(cfg, max(math.floor(cont.n_ul), lo), min(math.ceil(cont.n_ul), hi))
+        a, b = max(math.floor(cont.n_ul), lo), min(math.ceil(cont.n_ul), hi)
+        points = {n: _point(cfg, dom.eta, channel_dl, n) for n in {a, b}}
+        n_ul = a if a == b else _better(cfg, points, a, b)
         # past top, eps_dl > 1/2: the bisection's answer stands if it beats that
         why = None
         if top < dom.n_hi and not loop_log_error(cfg, n_ul) <= math.log(0.5):
@@ -219,19 +275,19 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
             float(n_ul), OptimizerCase.EXHAUSTIVE, 0,
             (f"{why}; took the exhaustive integer argmin over [{lo}, {hi}]",),
         )
-    ul = ul_state(cfg, n_ul)
-    dl = dl_state(cfg, n_ul)
+    x_ul, x_dl, _ = points.get(n_ul) or _point(cfg, dom.eta, channel_dl, n_ul)
+    eps_ul, eps_dl = q_function(x_ul), q_function(x_dl)
     return SolveResult(
         n_ul_cont=cont.n_ul,
         n_ul=n_ul,
         n_dl=cfg.n_max - n_ul,
         p_ul=ul_power_of_blocklength(cfg, n_ul),
-        eps_ul=ul.eps,
-        eps_dl=dl.eps,
-        eps_cl=ul.eps + dl.eps,
-        r_loop=loop_reliability(ul.eps, dl.eps),
+        eps_ul=eps_ul,
+        eps_dl=eps_dl,
+        eps_cl=eps_ul + eps_dl,
+        r_loop=loop_reliability(eps_ul, eps_dl),
         case=cont.case,
-        feasible=not (ul.eps > cfg.eps_max or dl.eps > cfg.eps_max),
+        feasible=not (eps_ul > cfg.eps_max or eps_dl > cfg.eps_max),
         iterations=cont.iterations,
         notes=cont.notes,
     )

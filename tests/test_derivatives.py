@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import assume, given, settings, strategies as st
 
 import clfbl.derivatives
 from clfbl import (
@@ -29,6 +30,7 @@ from clfbl.derivatives import (
     _dl_eps,
     _dl_link,
     _dl_slope_factor,
+    _sign_kernel,
     _ul_d_eps,
     _ul_eps,
     _ul_link,
@@ -312,6 +314,56 @@ def _assert_scalar_kernel_parity(cfg, points) -> None:
     """The plain-float sign kernel equals its LinkState restatement exactly."""
     for n in points:
         assert d_eps_cl_sign(cfg, n) == _sign_from_states(cfg, n), (cfg, n)
+
+
+def _assert_per_solve_kernel_parity(cfg, points) -> None:
+    """One kernel per config, built as solve's bisection builds it and
+    evaluated at the points in turn, equals d_eps_cl_sign and the
+    LinkState restatement at each of them."""
+    sign = _sign_kernel(cfg)
+    for n in points:
+        assert sign(n) == d_eps_cl_sign(cfg, n) == _sign_from_states(cfg, n), (cfg, n)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    d=st.integers(8, 64),
+    M=st.integers(1, 3),
+    log_E=st.floats(-8.0, -5.0),
+    log_N=st.floats(-6.0, -1.0),
+    log_snr_dl=st.floats(-4.0, 4.0),
+    n_max=st.integers(100, 5000),
+    where=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_per_solve_kernel_equals_pointwise_sign(d, M, log_E, log_N, log_snr_dl, n_max, where):
+    # p_dl > N, p_dl < N and p_dl = N alike, at points anywhere in the
+    # domain and, where the sign changes inside it, within 1e-5 of the root
+    N = 10.0**log_N
+    p_dl = N * 10.0**log_snr_dl
+    assume(n_max >= 2 * d)
+    cfg = SystemConfig(d=float(d), f_s=250e3, M=float(M), E=10.0**log_E,
+                       p_dl=p_dl, N=N, n_max=float(n_max))
+    dom = feasible_domain(cfg)
+    assume(not dom.empty)
+    points = [dom.n_lo + t * (dom.n_hi - dom.n_lo) for t in where]
+    result = solve(cfg)
+    if not isinstance(result, Infeasible) and result.case is OptimizerCase.INTERIOR_ROOT:
+        points += np.linspace(result.n_ul_cont - 1e-5, result.n_ul_cont + 1e-5, 9).tolist()
+    _assert_per_solve_kernel_parity(cfg, [min(max(n, dom.n_lo), dom.n_hi) for n in points])
+
+
+@pytest.mark.parametrize("cfg", [
+    make_config(N=1e-3),
+    # the worst loss in R of the additive objective among the roadmap's
+    # probes; its downlink is below threshold at n_lo
+    SystemConfig(d=29.0, f_s=250e3, M=1.0, E=4.5912e-6, p_dl=1.2271e-3,
+                 N=2.6925e-2, n_max=308.0),
+], ids=["N=1e-3", "d=29"])
+def test_per_solve_kernel_fixed_cases(cfg):
+    dom = feasible_domain(cfg)
+    points = np.linspace(dom.n_lo, dom.n_hi, 41)
+    points[-1] = dom.n_hi
+    _assert_per_solve_kernel_parity(cfg, points.tolist())
 
 
 class TestDeltaTerm:

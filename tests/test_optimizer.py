@@ -90,8 +90,8 @@ class TestOptimizeContinuous:
 
     def test_inconsistent_signs_raise(self, table1, monkeypatch):
         dom = feasible_domain(table1)
-        fake = lambda cfg, n: 1 if n == dom.n_lo else -1
-        monkeypatch.setattr(clfbl.optimizer, "d_eps_cl_sign", fake)
+        fake = lambda n: 1 if n == dom.n_lo else -1
+        monkeypatch.setattr(clfbl.optimizer, "_sign_kernel", lambda cfg: fake)
         with pytest.raises(RuntimeError, match="convexity"):
             optimize_continuous(table1)
 
@@ -122,12 +122,15 @@ class TestRefineInteger:
     def test_exact_tie_takes_the_floor(self, monkeypatch):
         # with floor and ceil of n_ul_cont tied exactly, solve takes the
         # smaller, as grid_search_oracle does; untied, this config takes
-        # the ceil (n_ul_cont = 83.598)
+        # the ceil (n_ul_cont = 83.598).  The tie is made on both backends:
+        # the plain-float ranking sees it and leaves the choice to the
+        # oracle's array argmin, which takes the floor.
         cfg = make_config(N=1e-3)
         result = solve(cfg)
         floor = math.floor(result.n_ul_cont)
         assert result.case is OptimizerCase.INTERIOR_ROOT
         assert result.n_ul == floor + 1
+        monkeypatch.setattr(clfbl.optimizer, "_log_eps_of", lambda x: 0.0)
         monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps",
                             lambda cfg, n_ul: np.zeros_like(n_ul))
         assert solve(cfg).n_ul == floor
@@ -425,6 +428,32 @@ class TestGoldenFixture:
         assert cases_of == {None, *(c.name for c in OptimizerCase)}
 
 
+class TestNoArrayRoundTrip:
+    def test_solve_without_the_array_argmin(self, table1, monkeypatch):
+        # the floor/ceil step ranks in plain floats and the error rates come
+        # from its decoding arguments, so solve reaches neither the oracle's
+        # argmin nor its array kernel where floor and ceil are not near a tie
+        encode = _load_golden_module().encode
+        result = solve(table1)
+        assert result.case is OptimizerCase.INTERIOR_ROOT
+        assert math.floor(result.n_ul_cont) != math.ceil(result.n_ul_cont)
+        expected = encode(result)
+        cases = [
+            next((cfg, case) for cfg, case in _golden_cases()
+                 if case["result"].get("case") == name)
+            for name in ("RIGHT_BOUNDARY", "LEFT_BOUNDARY")
+        ]
+
+        def array_round_trip(*args):
+            raise AssertionError("solve took the array argmin")
+
+        monkeypatch.setattr(clfbl.optimizer, "_argmin", array_round_trip)
+        monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps", array_round_trip)
+        assert encode(solve(table1)) == expected
+        for cfg, case in cases:
+            assert encode(solve(cfg)) == case["result"], cfg
+
+
 @settings(deadline=None, max_examples=150, derandomize=True)
 @given(
     d=st.integers(8, 64),
@@ -446,6 +475,54 @@ def test_solver_equals_oracle(d, M, log_E, log_N, log_snr_dl, n_max):
     assert isinstance(result, Infeasible) == isinstance(oracle, Infeasible)
     if not isinstance(oracle, Infeasible):
         assert result.n_ul == oracle or _objective_tie(cfg, result.n_ul, oracle)
+
+
+def _assert_choice_is_argmin(cfg) -> None:
+    """solve's n_ul is _argmin over the integers it chose among: the floor
+    and ceil of n_ul_cont clamped into the integer domain, or the whole
+    domain where it took the exhaustive argmin."""
+    result = solve(cfg)
+    bounds = clfbl.optimizer._integer_range(feasible_domain(cfg))
+    assert isinstance(result, Infeasible) == isinstance(bounds, Infeasible)
+    if isinstance(result, Infeasible):
+        return
+    lo, hi = bounds
+    if result.case is not OptimizerCase.EXHAUSTIVE:
+        lo, hi = max(math.floor(result.n_ul_cont), lo), min(math.ceil(result.n_ul_cont), hi)
+    assert result.n_ul == clfbl.optimizer._argmin(cfg, lo, hi), cfg
+
+
+@settings(deadline=None, max_examples=150, derandomize=True)
+@given(
+    d=st.integers(8, 64),
+    M=st.integers(1, 3),
+    log_E=st.floats(-8.0, -5.0),
+    log_N=st.floats(-6.0, -1.0),
+    log_snr_dl=st.floats(-4.0, 4.0),
+    n_max=st.integers(100, 5000),
+)
+def test_floor_ceil_choice_equals_argmin(d, M, log_E, log_N, log_snr_dl, n_max):
+    # the plain-float ranking picks what the oracle's array argmin picks;
+    # p_dl > N, p_dl < N and p_dl = N alike
+    N = 10.0**log_N
+    p_dl = N * 10.0**log_snr_dl
+    assume(n_max >= 2 * d)
+    cfg = SystemConfig(d=float(d), f_s=250e3, M=float(M), E=10.0**log_E,
+                       p_dl=p_dl, N=N, n_max=float(n_max))
+    result = solve(cfg)
+    event("infeasible" if isinstance(result, Infeasible) else result.case.name)
+    _assert_choice_is_argmin(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    make_config(N=1e-3),
+    # the worst loss in R of the additive objective among the roadmap's
+    # probes; its downlink is below threshold at n_lo (EXHAUSTIVE)
+    SystemConfig(d=29.0, f_s=250e3, M=1.0, E=4.5912e-6, p_dl=1.2271e-3,
+                 N=2.6925e-2, n_max=308.0),
+], ids=["N=1e-3", "d=29"])
+def test_floor_ceil_choice_fixed_cases(cfg):
+    _assert_choice_is_argmin(cfg)
 
 
 def _log_uniform(lo: float, hi: float):
