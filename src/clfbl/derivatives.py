@@ -29,14 +29,15 @@ and positive otherwise.  ``_sign_kernel`` applies that rule in plain
 floats and ``_cl_sign`` applies it to arrays.
 
 Each formula is written once, for plain floats and arrays alike: the link
-quantities (``fbl._link_quantities``, backend ``math`` or ``numpy``), the
-slope factors, and the derivative log-magnitudes ``_ul_log_d_eps`` and
-``_dl_log_d_eps`` (``math.log`` or ``np.log``).  The array kernels
-``_ul_d_eps`` and ``_dl_d_eps`` feed the scan, the validation suite and
-``d_eps_cl_dn``; the solver's per-config sign kernel ``_sign_kernel``
-(``d_eps_cl_sign`` is that kernel at one checked point) and LinkState
-stay on ``math``, whose log1p the golden fixtures pin.  The scan and
-``fd_derivative`` share one Richardson stencil, ``_richardson``.
+quantities (``fbl._channel`` per SNR, then ``fbl._code`` per blocklength,
+backend ``math`` or ``numpy``), the slope factors, and the derivative
+log-magnitudes ``_ul_log_d_eps`` and ``_dl_log_d_eps`` (``math.log`` or
+``np.log``).  The array kernels ``_ul_d_eps`` and ``_dl_d_eps`` feed the
+scan, the validation suite and ``d_eps_cl_dn``; the solver's per-config
+sign kernel ``_sign_kernel`` (``d_eps_cl_sign`` is that kernel at one
+checked point) and LinkState stay on ``math``, whose log1p the golden
+fixtures pin.  The scan and ``fd_derivative`` share one Richardson
+stencil, ``_richardson``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .fbl import (
     _channel,
     _code,
     _eps_of,
-    _link_quantities,
     _log_eps_of,
 )
 from .energy import (
@@ -133,7 +133,8 @@ def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
 
 def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
     gamma = (snr_blocklength_product(cfg) if noise is None else noise.eta) / n_ul
-    return _LinkColumns(n_ul, gamma, *_link_quantities(n_ul, gamma, cfg.d, cfg.B, np))
+    cap, disp = _channel(gamma, cfg.B, np)
+    return _LinkColumns(n_ul, gamma, cap, disp, *_code(n_ul, cap, disp, cfg.d, np))
 
 
 def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
@@ -144,7 +145,8 @@ def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColum
             f"with n_max={cfg.n_max!r}"
         )
     gamma = (_noise(cfg) if noise is None else noise).gamma_dl
-    return _LinkColumns(n_dl, gamma, *_link_quantities(n_dl, gamma, cfg.d, cfg.B, np))
+    cap, disp = _channel(gamma, cfg.B, np)
+    return _LinkColumns(n_dl, gamma, cap, disp, *_code(n_dl, cap, disp, cfg.d, np))
 
 
 def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):

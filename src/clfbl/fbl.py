@@ -59,30 +59,21 @@ def log_q(x: float) -> float:
 
 
 def _channel(gamma, B: float, xp=math) -> tuple:
-    """(capacity, dispersion) of a link at SNR gamma, the part of
-    :func:`_link_quantities` that does not depend on the blocklength."""
+    """(capacity, dispersion) of a link at SNR gamma, unchecked (gamma > 0),
+    with the ``log1p`` of backend ``xp``: ``math`` for floats, ``numpy`` for
+    arrays.  Callers keep their backend: the two ``log1p`` differ in the
+    last bit on ~7% of table1 uplink SNRs, and the golden fixtures pin both.
+    Callers that hold gamma fixed over many n take it once."""
     return B * xp.log1p(gamma) / _LN2, 1.0 - 1.0 / ((1.0 + gamma) * (1.0 + gamma))
 
 
 def _code(n, cap, disp, d: float, xp=math) -> tuple:
     """(omega, beta, x) of an n-bit codeword carrying d bits over a link of
-    capacity ``cap`` and dispersion ``disp``, the per-n part of
-    :func:`_link_quantities`."""
+    capacity ``cap`` and dispersion ``disp`` from :func:`_channel`, unchecked
+    (n >= d >= 1), with the ``sqrt`` of backend ``xp``."""
     omega = cap - d / n
     beta = xp.sqrt(n / disp)
     return omega, beta, _LN2 * omega * beta
-
-
-def _link_quantities(n, gamma, d: float, B: float, xp=math) -> tuple:
-    """(capacity, dispersion, omega, beta, x) of one link, the formulas of
-    :class:`LinkState` without its checks (n >= d >= 1, gamma > 0), with the
-    ``log1p`` and ``sqrt`` of backend ``xp``: ``math`` for floats, ``numpy``
-    for arrays.  Callers keep their backend: the two ``log1p`` differ in the
-    last bit on ~7% of table1 uplink SNRs, and the golden fixtures pin both.
-    Callers that hold gamma fixed over many n take :func:`_channel` once
-    and :func:`_code` per n."""
-    cap, disp = _channel(gamma, B, xp)
-    return (cap, disp, *_code(n, cap, disp, d, xp))
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,8 @@ class LinkState:
                 "degenerate channel: zero dispersion at gamma <= 0 leaves the "
                 f"error model undefined (gamma={gamma!r})"
             )
-        cap, disp, omega, beta, x = _link_quantities(n, gamma, d, B)
+        cap, disp = _channel(gamma, B)
+        omega, beta, x = _code(n, cap, disp, d)
         return cls(
             n=n, gamma=gamma, capacity=cap, dispersion=disp,
             omega=omega, beta=beta, x=x, eps=q_function(x),

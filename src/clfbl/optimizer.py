@@ -22,8 +22,8 @@ n_ul = n_max - d/C_dl.  Unless both are positive at n_lo, it takes the
 exhaustive integer argmin of log eps_cl (the oracle's code path), reports
 the case as ``EXHAUSTIVE`` and names the link in its notes.  Otherwise it
 bisects below the downlink's threshold, past which eps_dl > 1/2; the
-answer stands when its eps_cl is at most 1/2, and the exhaustive argmin
-decides when it is not.  ``optimize_continuous`` itself raises
+answer stands when its eps_cl, read in the ranking's plain floats, is at
+most 1/2, and the exhaustive argmin decides when it is not.  ``optimize_continuous`` itself raises
 ``NotConvexError`` on a sign pattern that convexity rules out.
 """
 
@@ -39,13 +39,12 @@ from .fbl import (
     SystemConfig,
     _channel,
     _code,
-    _link_quantities,
     _log_eps_of,
     loop_reliability,
     q_function,
 )
 from .energy import DomainBounds, Infeasible, feasible_domain, ul_power_of_blocklength
-from .derivatives import _check_payload, _cl_log_eps, _sign_kernel, loop_log_error
+from .derivatives import _check_payload, _cl_log_eps, _sign_kernel
 
 #: bisection stops once the bracketing interval is narrower than this (bits)
 ROOT_INTERVAL_TOL = 1e-6
@@ -208,7 +207,7 @@ def grid_search_oracle(
     return _argmin(cfg, *bounds)
 
 
-def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: int) -> tuple:
+def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: float) -> tuple:
     """(x_ul, x_dl, scale) at n_ul = n on the ``math`` backend: the decoding
     arguments of ``LinkState.from_snr`` bit for bit, and the scale of
     ``_RANK_TOL``."""
@@ -220,14 +219,18 @@ def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: int) -> tuple:
     return x_ul, x_dl, scale
 
 
+def _log_cl(point: tuple) -> float:
+    """log eps_cl of a ``_point`` tuple, on the ``math`` backend's x."""
+    x_ul, x_dl, _ = point
+    return np.logaddexp(_log_eps_of(x_ul), _log_eps_of(x_dl))
+
+
 def _better(cfg: SystemConfig, points: dict, a: int, b: int) -> int:
     """Of a < b, the one ``_argmin(cfg, a, b)`` returns: read off the
     ``math`` backend's log eps_cl where the two values are far enough apart
     (``_RANK_TOL``), from ``_argmin`` itself where they are not."""
-    (xa_ul, xa_dl, sa), (xb_ul, xb_dl, sb) = points[a], points[b]
-    va = np.logaddexp(_log_eps_of(xa_ul), _log_eps_of(xa_dl))
-    vb = np.logaddexp(_log_eps_of(xb_ul), _log_eps_of(xb_dl))
-    if abs(va - vb) > _RANK_TOL * (sa + sb):
+    va, vb = _log_cl(points[a]), _log_cl(points[b])
+    if abs(va - vb) > _RANK_TOL * (points[a][2] + points[b][2]):
         return a if va < vb else b
     return _argmin(cfg, a, b)
 
@@ -249,8 +252,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     channel_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, cfg.B)
     # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
     # downlink's is positive only below n_ul = n_max - d/C_dl
-    x_ul = _link_quantities(dom.n_lo, dom.eta / dom.n_lo, cfg.d, cfg.B)[4]
-    x_dl = _code(cfg.n_max - dom.n_lo, *channel_dl, cfg.d)[2]
+    x_ul, x_dl, _ = _point(cfg, dom.eta, channel_dl, dom.n_lo)
     points = {}
     if x_ul > 0.0 and x_dl > 0.0:
         top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / channel_dl[0]))
@@ -261,7 +263,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
         n_ul = a if a == b else _better(cfg, points, a, b)
         # past top, eps_dl > 1/2: the bisection's answer stands if it beats that
         why = None
-        if top < dom.n_hi and not loop_log_error(cfg, n_ul) <= math.log(0.5):
+        if top < dom.n_hi and not _log_cl(points[n_ul]) <= math.log(0.5):
             why = (f"downlink at or below the capacity threshold past n_ul={top!r}, "
                    "and eps_cl above 1/2 before it")
     else:

@@ -28,6 +28,9 @@ from .optimizer import OptimizerCase, SolveResult, grid_search_oracle, solve
 #: finite difference of eps is dominated by underflow.
 WELL_CONDITIONED_X = 8.0
 
+#: points of the uniform domain grid the derivative fidelity suite checks
+_FIDELITY_GRID_POINTS = 101
+
 FD_RELATIVE_TOL = 1e-6
 
 
@@ -42,7 +45,7 @@ class SuiteResult:
         return self.status == "fail"
 
 
-def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> SuiteResult:
+def derivative_fidelity_suite(cfg: SystemConfig) -> SuiteResult:
     """Analytic first derivatives vs the finite-difference oracle.
 
     Checked at every well-conditioned grid point (|x| <= 8) of a uniform
@@ -56,7 +59,7 @@ def derivative_fidelity_suite(cfg: SystemConfig, grid_points: int = 101) -> Suit
         return SuiteResult(
             "derivative_fidelity", "skipped", "infeasible: empty blocklength domain"
         )
-    grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
+    grid = np.linspace(dom.n_lo, dom.n_hi, _FIDELITY_GRID_POINTS)
     ul = da._ul_link(cfg, grid)
     dl = da._dl_link(cfg, grid)
     ok_ul = np.abs(ul.x) <= WELL_CONDITIONED_X

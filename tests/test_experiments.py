@@ -27,7 +27,7 @@ from clfbl.derivatives import (
     scan_levels,
 )
 from clfbl.energy import Infeasible, feasible_domain
-from clfbl.fbl import _link_quantities
+from clfbl.fbl import _channel
 import clfbl.experiments as experiments
 from clfbl.experiments import (
     GENERATOR_ID,
@@ -200,7 +200,7 @@ class TestBlockedSweep:
         cfg = make_config(g_dl=0.7841)
         record = sweep_noise(cfg, 50, 200)[36]
         gamma = cfg.p_dl * cfg.g_dl / record.noise
-        dispersion = _link_quantities(cfg.n_max / 2.0, gamma, cfg.d, cfg.B)[1]
+        dispersion = _channel(gamma, cfg.B)[1]
         assert dispersion == 1.0 - 1.0 / np.square(1.0 + gamma)
         assert dispersion != 1.0 - 1.0 / (1.0 + gamma) ** 2
         n_dl = cfg.n_max - record.scan.n_ul
@@ -214,8 +214,8 @@ class TestBlockedSweep:
         # also on the SNRs where float ** 2 would round otherwise
         gammas = np.exp(np.random.default_rng(5).uniform(-12.0, 12.0, 20_000))
         assert any((1.0 + g) ** 2 != (1.0 + g) * (1.0 + g) for g in gammas.tolist())
-        scalar = [_link_quantities(100.0, g, table1.d, table1.B)[1] for g in gammas.tolist()]
-        array = _link_quantities(100.0, gammas, table1.d, table1.B, np)[1]
+        scalar = [_channel(g, table1.B)[1] for g in gammas.tolist()]
+        array = _channel(gammas, table1.B, np)[1]
         assert np.array(scalar).view(np.uint64).tolist() == array.view(np.uint64).tolist()
 
     def test_table1_violation_count(self, table1):

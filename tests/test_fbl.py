@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from clfbl import LinkState, log_q, loop_reliability, q_function
 from clfbl.derivatives import dl_state
 from clfbl.energy import ul_snr_of_blocklength
-from clfbl.fbl import _link_quantities
+from clfbl.fbl import _channel
 
 from conftest import make_config
 
@@ -80,19 +80,16 @@ class TestQFunction:
 
 
 def _capacity(gamma, B=1.0):
-    return _link_quantities(8.0, gamma, 8.0, B)[0]
+    return _channel(gamma, B)[0]
 
 
 def _dispersion(gamma):
-    return _link_quantities(8.0, gamma, 8.0, 1.0)[1]
+    return _channel(gamma, 1.0)[1]
 
 
 def _columns_at(gammas):
-    """Capacity and dispersion of the numpy backend, which takes gamma = 0
-    too (where beta = sqrt(n/V) is infinite)."""
-    with np.errstate(divide="ignore"):
-        cap, disp, *_ = _link_quantities(8.0, np.asarray(gammas, dtype=float), 8.0, 1.0, np)
-    return cap, disp
+    """Capacity and dispersion of the numpy backend, which takes gamma = 0 too."""
+    return _channel(np.asarray(gammas, dtype=float), 1.0, np)
 
 
 class TestSnr:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+import clfbl.derivatives
 import clfbl.optimizer
 from clfbl import (
     OptimizerCase,
@@ -41,6 +42,20 @@ def _dense_argmin(cfg, spacing=1e-3):
 
 def _objective_tie(cfg, n_a, n_b):
     return loop_log_error(cfg, n_a) == loop_log_error(cfg, n_b)
+
+
+# the downlink crosses its capacity threshold inside the domain, and the
+# bisection of the part below it stands (eps_cl at most 1/2)
+_DL_CROSSING_71 = dict(
+    d=45.93216299542219, f_s=13485626.434567807, M=3.148550282159621,
+    E=3.3116569625213305e-06, p_dl=4.643309319218841e-07,
+    N=0.00011616338113962041, n_max=14723.933926458552,
+    g_ul=0.032552913026669864, g_dl=4.734020537373154, B=0.13898191423826284)
+_DL_CROSSING_148 = dict(
+    d=147.3012502355734, f_s=211318.97795356836, M=6.721654478977798,
+    E=5.324123017505121e-06, p_dl=7.301121389520324e-07,
+    N=3.836757395722406e-05, n_max=2790.1540691889904,
+    g_ul=0.017082204736932033, g_dl=6.78037017223046, B=0.34242736139066077)
 
 
 class TestOptimizeContinuous:
@@ -262,16 +277,8 @@ class TestSolve:
               g_ul=4.516790711989067, g_dl=0.0030195393117996875,
               B=0.027623683538114698), 438, "EXHAUSTIVE",
          "downlink at or below the capacity threshold past n_ul=420.34"),
-        (dict(d=45.93216299542219, f_s=13485626.434567807, M=3.148550282159621,
-              E=3.3116569625213305e-06, p_dl=4.643309319218841e-07,
-              N=0.00011616338113962041, n_max=14723.933926458552,
-              g_ul=0.032552913026669864, g_dl=4.734020537373154,
-              B=0.13898191423826284), 71, "INTERIOR_ROOT", None),
-        (dict(d=147.3012502355734, f_s=211318.97795356836, M=6.721654478977798,
-              E=5.324123017505121e-06, p_dl=7.301121389520324e-07,
-              N=3.836757395722406e-05, n_max=2790.1540691889904,
-              g_ul=0.017082204736932033, g_dl=6.78037017223046,
-              B=0.34242736139066077), 148, "LEFT_BOUNDARY", None),
+        (_DL_CROSSING_71, 71, "INTERIOR_ROOT", None),
+        (_DL_CROSSING_148, 148, "LEFT_BOUNDARY", None),
     ], ids=["dl-below-91", "dl-below-40", "ul-below-241", "dl-crossing-438",
             "dl-crossing-71", "dl-crossing-148"])
     def test_link_below_threshold_equals_oracle(self, values, oracle, case, note):
@@ -432,8 +439,16 @@ class TestNoArrayRoundTrip:
     def test_solve_without_the_array_argmin(self, table1, monkeypatch):
         # the floor/ceil step ranks in plain floats and the error rates come
         # from its decoding arguments, so solve reaches neither the oracle's
-        # argmin nor its array kernel where floor and ceil are not near a tie
+        # argmin nor its array kernel where floor and ceil are not near a tie;
+        # where the bracket is cut at the downlink threshold, the "eps_cl at
+        # most 1/2" check reads the ranking's plain-float log eps_cl too
         encode = _load_golden_module().encode
+        crossing = [SystemConfig(**values) for values in (_DL_CROSSING_71, _DL_CROSSING_148)]
+        for cfg in crossing:
+            c_dl = cfg.B * math.log2(1.0 + cfg.p_dl * cfg.g_dl / cfg.N)
+            assert cfg.n_max - cfg.d / c_dl < feasible_domain(cfg).n_hi
+        crossed = [solve(cfg) for cfg in crossing]
+        assert [r.case.name for r in crossed] == ["INTERIOR_ROOT", "LEFT_BOUNDARY"]
         result = solve(table1)
         assert result.case is OptimizerCase.INTERIOR_ROOT
         assert math.floor(result.n_ul_cont) != math.ceil(result.n_ul_cont)
@@ -449,9 +464,11 @@ class TestNoArrayRoundTrip:
 
         monkeypatch.setattr(clfbl.optimizer, "_argmin", array_round_trip)
         monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps", array_round_trip)
+        monkeypatch.setattr(clfbl.derivatives, "_cl_log_eps", array_round_trip)
         assert encode(solve(table1)) == expected
         for cfg, case in cases:
             assert encode(solve(cfg)) == case["result"], cfg
+        assert [solve(cfg) for cfg in crossing] == crossed
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)

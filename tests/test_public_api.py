@@ -40,7 +40,7 @@ def test_exports_resolve_and_only_fbl_imports_scipy():
 
 
 def test_link_formula_has_one_copy():
-    # fbl._link_quantities computes the capacity for floats and arrays
+    # fbl._channel computes the capacity for floats and arrays
     # alike; a second log1p call would be a fork of the link formula
     calls = [
         node for _, tree in _module_trees() for node in ast.walk(tree)

@@ -17,7 +17,7 @@ import sympy as sp
 
 from clfbl.derivatives import _dl_slope_factor, _ul_slope_factor
 from clfbl.energy import feasible_domain, snr_blocklength_product
-from clfbl.fbl import _link_quantities
+from clfbl.fbl import _channel, _code
 
 from conftest import d_eps_dl, d_eps_ul, make_config
 
@@ -90,13 +90,15 @@ def test_slope_factors_match_symbolic_derivative(cfg):
     with mpmath.workdps(50):
         for n_ul in np.linspace(dom.n_lo, dom.n_hi, 25).tolist():
             g_ul = eta_f / n_ul
-            _, V_f, w, b, _ = _link_quantities(n_ul, g_ul, cfg.d, cfg.B)
+            cap, V_f = _channel(g_ul, cfg.B)
+            w, b, _ = _code(n_ul, cap, V_f, cfg.d)
             factor = _ul_slope_factor(cfg, n_ul, g_ul, V_f, b, w)
             exact = float(_UL_SLOPE(n_ul, eta_f, cfg.d, cfg.B))
             assert factor == pytest.approx(exact, rel=1e-12), ("ul", n_ul)
 
             n_dl = cfg.n_max - n_ul
-            _, V_f, w, b, _ = _link_quantities(n_dl, g_dl, cfg.d, cfg.B)
+            cap, V_f = _channel(g_dl, cfg.B)
+            w, b, _ = _code(n_dl, cap, V_f, cfg.d)
             factor = _dl_slope_factor(cfg, n_dl, V_f, b, w)
             exact = float(_DL_SLOPE(n_dl, g_dl, cfg.d, cfg.B))
             assert factor == pytest.approx(exact, rel=1e-12), ("dl", n_ul)
