@@ -8,7 +8,9 @@ Subcommands::
     clfbl validate   SCENARIO [--trials K] [--seed S] [--grid-points K]
 
 SCENARIO is a flat key-value file (see :mod:`clfbl.scenario`) or the
-name of a built-in preset such as ``table1``.
+name of a built-in preset such as ``table1``.  The options default to
+``--out-dir .``, ``--grid-points`` 500 (``case-study``) or 200,
+``--sweep-points 50``, ``--trials 1000000`` and ``--seed 0``.
 
 Exit status contract (stable):
     0  success; for ``solve``, the allocation meets the error-rate caps
@@ -146,11 +148,6 @@ def _result_json(result: SolveResult) -> dict:
     return payload
 
 
-def _given(option: int | None, default: int) -> int:
-    """The option if it was passed, so that 0 reaches the range checks."""
-    return default if option is None else option
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
@@ -186,11 +183,11 @@ def _meta(scenario: Scenario, cfg, extra: dict) -> dict:
 def _cmd_case_study(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True, noise=args.noise)
-    grid_points = _given(args.grid_points, scenario.run.case_grid_points)
-    record = record_at_noise(cfg, grid_points)
-    out_dir = Path(args.out_dir or scenario.run.out_dir or ".")
-    meta = _meta(scenario, cfg, {"grid_points": grid_points, "noise_w": cfg.N})
-    grid_path, summary_path = _write_outputs([record], out_dir, "case_study", meta)
+    record = record_at_noise(cfg, args.grid_points)
+    meta = _meta(scenario, cfg, {"grid_points": args.grid_points, "noise_w": cfg.N})
+    grid_path, summary_path = _write_outputs(
+        [record], Path(args.out_dir), "case_study", meta
+    )
     print(f"wrote {grid_path} and {summary_path}", file=sys.stderr)
     if isinstance(record.result, Infeasible):
         print(f"infeasible: {record.result.reason}", file=sys.stderr)
@@ -201,20 +198,17 @@ def _cmd_case_study(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=False)
-    sweep_points = _given(args.sweep_points, scenario.run.sweep_points)
-    grid_points = _given(args.grid_points, scenario.run.sweep_grid_points)
-    records = sweep_noise(cfg, sweep_points, grid_points)
-    out_dir = Path(args.out_dir or scenario.run.out_dir or ".")
+    records = sweep_noise(cfg, args.sweep_points, args.grid_points)
     meta = _meta(
         scenario,
         cfg,
         {
-            "sweep_points": sweep_points,
-            "grid_points": grid_points,
+            "sweep_points": args.sweep_points,
+            "grid_points": args.grid_points,
             "noise_grid": "logarithmic over [p_dl*1e-4, p_dl*(1-1e-3)]",
         },
     )
-    grid_path, summary_path = _write_outputs(records, out_dir, "sweep", meta)
+    grid_path, summary_path = _write_outputs(records, Path(args.out_dir), "sweep", meta)
     print(f"wrote {grid_path} and {summary_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -222,10 +216,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     cfg = scenario.to_config(require_noise=True)
-    trials = _given(args.trials, scenario.run.trials)
-    seed = _given(args.seed, scenario.run.seed)
-    grid_points = _given(args.grid_points, scenario.run.sweep_grid_points)
-    suites = run_validation(cfg, trials=trials, seed=seed, grid_points=grid_points)
+    suites = run_validation(
+        cfg, trials=args.trials, seed=args.seed, grid_points=args.grid_points
+    )
     failed = False
     for suite in suites:
         label = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[suite.status]
@@ -263,22 +256,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_case = sub.add_parser("case-study", help="dense single-noise grid to CSV")
     add_common(p_case)
     p_case.add_argument("--noise", type=float, help="override noise power N, watts")
-    p_case.add_argument("--out-dir", help="output directory (default: .)")
-    p_case.add_argument("--grid-points", type=int, help="grid resolution")
+    p_case.add_argument("--out-dir", default=".",
+                        help="output directory (default: %(default)s)")
+    p_case.add_argument("--grid-points", type=int, default=500,
+                        help="grid resolution (default: %(default)s)")
     p_case.set_defaults(func=_cmd_case_study)
 
     p_sweep = sub.add_parser("sweep", help="noise sweep over (0, p_dl) to CSV")
     add_common(p_sweep)
-    p_sweep.add_argument("--out-dir", help="output directory (default: .)")
-    p_sweep.add_argument("--sweep-points", type=int, help="number of noise levels")
-    p_sweep.add_argument("--grid-points", type=int, help="grid resolution per noise")
+    p_sweep.add_argument("--out-dir", default=".",
+                         help="output directory (default: %(default)s)")
+    p_sweep.add_argument("--sweep-points", type=int, default=50,
+                         help="number of noise levels (default: %(default)s)")
+    p_sweep.add_argument("--grid-points", type=int, default=200,
+                         help="grid resolution per noise (default: %(default)s)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run oracle self-check suites")
     add_common(p_val)
-    p_val.add_argument("--trials", type=int, help="Monte Carlo trials")
-    p_val.add_argument("--seed", type=int, help="Monte Carlo seed")
-    p_val.add_argument("--grid-points", type=int, help="scan grid resolution")
+    p_val.add_argument("--trials", type=int, default=1_000_000,
+                       help="Monte Carlo trials (default: %(default)s)")
+    p_val.add_argument("--seed", type=int, default=0,
+                       help="Monte Carlo seed (default: %(default)s)")
+    p_val.add_argument("--grid-points", type=int, default=200,
+                       help="scan grid resolution (default: %(default)s)")
     p_val.set_defaults(func=_cmd_validate)
     return parser
 

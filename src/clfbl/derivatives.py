@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -305,20 +304,15 @@ def _richardson(f_m2, f_m1, f_0, f_p1, f_p2, h):
     return d1, d2
 
 
-def fd_derivative(
-    f: Callable[[float], float], n: float, order: int, h: float | None = None
-) -> float:
+def fd_derivative(f: Callable[[float], float], n: float, order: int, h: float) -> float:
     """Central finite difference of order 1 or 2 with Richardson extrapolation.
 
     Uses steps h and 2h, so f must be evaluable on [n-2h, n+2h]; domain
-    errors from f propagate.  The default step is max(1e-4, 1e-3*n).
-    With an f that maps arrays elementwise, n and an explicit h may be
-    arrays, and every point is differenced at once.
+    errors from f propagate.  With an f that maps arrays elementwise, n
+    and h may be arrays, and every point is differenced at once.
     """
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
-    if h is None:
-        h = max(1e-4, 1e-3 * n)
     f_0 = f(n) if order == 2 else 0.0  # the first difference never reads f(n)
     d1, d2 = _richardson(f(n - 2.0 * h), f(n - h), f_0, f(n + h), f(n + 2.0 * h), h)
     return d1 if order == 1 else d2
@@ -327,13 +321,6 @@ def fd_derivative(
 # ---------------------------------------------------------------------------
 # convexity / sign scan
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ScanViolation:
-    kind: str
-    n_ul: float
-    value: float
-
 
 @dataclass(frozen=True)
 class ScanReport:
@@ -356,8 +343,9 @@ class ScanReport:
     ``d2_eps_cl`` reconstructs eps_cl'' = eps_cl * indicator, which
     underflows to 0.0 exactly where eps_cl does.
 
-    ``violations`` is read off the columns on first access, so a scan
-    whose verdicts nobody asks for builds no violation records.
+    The verdicts are boolean masks read off the columns of a 1-D grid:
+    ``ul_upturn`` and ``dl_not_increasing`` per grid interval (aligned
+    with its right end, ``n_ul[1:]``), ``cl_not_convex`` per grid point.
     """
 
     n_ul: np.ndarray
@@ -366,33 +354,26 @@ class ScanReport:
     eps_cl: np.ndarray
     log_eps_ul: np.ndarray
     log_eps_dl: np.ndarray
-    log_eps_cl: np.ndarray
     d_eps_cl: np.ndarray
     sign_d_eps_cl: np.ndarray
     d2_eps_cl: np.ndarray
     convexity_indicator: np.ndarray
     saturated: np.ndarray  # bool: log eps_cl flat to rounding on the stencil
 
-    @cached_property
-    def violations(self) -> tuple[ScanViolation, ...]:
-        """Read off the columns of a 1-D grid, each kind in grid order: intervals
-        (at their right end) where eps_ul increases, then where eps_dl does not
-        strictly increase, then unsaturated points whose indicator is not > 0."""
-        dlog_ul, dlog_dl = np.diff(self.log_eps_ul), np.diff(self.log_eps_dl)
-        ind = self.convexity_indicator
-        return tuple(
-            ScanViolation(kind, n, v)
-            for kind, bad, n_ul, value in (
-                ("ul_not_nonincreasing", dlog_ul > 0.0, self.n_ul[1:], dlog_ul),
-                ("dl_not_strictly_increasing", ~(dlog_dl > 0.0), self.n_ul[1:], dlog_dl),
-                ("cl_second_derivative_not_positive", ~(ind > 0.0) & ~self.saturated,
-                 self.n_ul, ind),
-            )
-            for n, v in zip(n_ul[bad].tolist(), value[bad].tolist())
-        )
+    @property
+    def ul_upturn(self) -> np.ndarray:
+        """Grid intervals on which eps_ul increases."""
+        return np.diff(self.log_eps_ul) > 0.0
 
-    def violations_of(self, kind: str) -> tuple[ScanViolation, ...]:
-        return tuple(v for v in self.violations if v.kind == kind)
+    @property
+    def dl_not_increasing(self) -> np.ndarray:
+        """Grid intervals on which eps_dl does not strictly increase."""
+        return ~(np.diff(self.log_eps_dl) > 0.0)
+
+    @property
+    def cl_not_convex(self) -> np.ndarray:
+        """Unsaturated grid points whose convexity indicator is not > 0."""
+        return ~(self.convexity_indicator > 0.0) & ~self.saturated
 
     @property
     def ul_monotone_ok(self) -> bool:
@@ -403,11 +384,11 @@ class ScanReport:
         before the 0 dB bound (spreading the energy budget ever thinner
         stops paying off), so eps_ul is not monotone on the full domain.
         """
-        return not self.violations_of("ul_not_nonincreasing")
+        return not self.ul_upturn.any()
 
     @property
     def dl_monotone_ok(self) -> bool:
-        return not self.violations_of("dl_not_strictly_increasing")
+        return not self.dl_not_increasing.any()
 
     @property
     def convex_ok(self) -> bool:
@@ -417,7 +398,7 @@ class ScanReport:
         threshold (eps >= 0.5, in the concave Q tail); ``solve`` tests
         that regime up front and takes the exhaustive integer argmin there.
         """
-        return not self.violations_of("cl_second_derivative_not_positive")
+        return not self.cl_not_convex.any()
 
 
 #: a five-point stencil of log eps_cl spanning less than this is treated
@@ -470,7 +451,6 @@ def scan_columns(
         eps_cl=eps_ul + eps_dl,
         log_eps_ul=log_ul,
         log_eps_dl=log_dl,
-        log_eps_cl=log_cl,
         d_eps_cl=d_eps_ul + d_eps_dl,
         sign_d_eps_cl=_cl_sign(sign_ul, log_d_ul, log_d_dl),
         d2_eps_cl=np.exp(log_cl) * indicator,
@@ -493,7 +473,7 @@ def convexity_scan(
     Checks, on a uniform grid over [n_lo, n_hi]: eps_ul monotone
     non-increasing, eps_dl strictly increasing, and the second derivative
     of eps_cl positive at every grid point that is not ``saturated``.
-    Violations are reported with their coordinates; an empty domain
+    Violations are marked in the report's masks; an empty domain
     yields an Infeasible marker.  The one-level case of
     :func:`scan_levels`.
     """

@@ -6,10 +6,9 @@ unit suffixes: values are plain numbers in watts, joules, hertz, bits
 and seconds.  Unknown keys are rejected by name, and every missing
 required key is reported in a single error.
 
-Model keys
+Keys (the link budget only: grid sizes, trials, the seed and the output
+directory are command-line options)
     d, f_s, M, E, p_dl, N, n_max, T, g_ul, g_dl, B, eps_max
-Run keys (optional)
-    case_grid_points, sweep_points, sweep_grid_points, trials, seed, out_dir
 
 ``n_max`` may be omitted when ``T`` is given (then n_max = f_s*M*T);
 ``N`` is only required by commands that solve at a single noise level,
@@ -19,7 +18,7 @@ since sweeps span the noise range themselves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fbl import SystemConfig
 
@@ -30,31 +29,16 @@ class ScenarioError(ValueError):
 
 _MODEL_KEYS = ("d", "f_s", "M", "E", "p_dl", "N", "n_max", "T", "g_ul", "g_dl",
                "B", "eps_max")
-_INT_RUN_KEYS = ("case_grid_points", "sweep_points", "sweep_grid_points",
-                 "trials", "seed")
-_STR_RUN_KEYS = ("out_dir",)
-_ALL_KEYS = _MODEL_KEYS + _INT_RUN_KEYS + _STR_RUN_KEYS
 
 #: always-required model keys; n_max/T and N have their own rules
 _REQUIRED = ("E", "p_dl", "d", "f_s", "M")
 
 
 @dataclass(frozen=True)
-class RunParams:
-    case_grid_points: int = 500
-    sweep_points: int = 50
-    sweep_grid_points: int = 200
-    trials: int = 1_000_000
-    seed: int = 0
-    out_dir: str | None = None
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """Parsed scenario: raw model values plus run parameters."""
+    """Parsed scenario: the raw model values."""
 
     values: dict[str, float]
-    run: RunParams = field(default_factory=RunParams)
 
     def to_config(self, require_noise: bool = True, noise: float | None = None
                   ) -> SystemConfig:
@@ -90,7 +74,6 @@ class Scenario:
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
     """Parse scenario text, rejecting unknown and duplicate keys."""
     values: dict[str, float] = {}
-    run_kwargs: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -102,33 +85,22 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _MODEL_KEYS:
             raise ScenarioError(f"{source}:{lineno}: unknown scenario key {key!r}")
-        if key in values or key in run_kwargs:
+        if key in values:
             raise ScenarioError(f"{source}:{lineno}: duplicate scenario key {key!r}")
-        if key in _STR_RUN_KEYS:
-            run_kwargs[key] = value
-        elif key in _INT_RUN_KEYS:
-            try:
-                run_kwargs[key] = int(value)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{source}:{lineno}: key {key!r} needs an integer, got {value!r}"
-                ) from exc
-        else:
-            try:
-                number = float(value)
-            except ValueError as exc:
-                raise ScenarioError(
-                    f"{source}:{lineno}: key {key!r} needs a number, got {value!r}"
-                ) from exc
-            if not math.isfinite(number):
-                raise ScenarioError(
-                    f"{source}:{lineno}: key {key!r} needs a finite number, "
-                    f"got {value!r}"
-                )
-            values[key] = number
-    return Scenario(values=values, run=RunParams(**run_kwargs))
+        try:
+            number = float(value)
+        except ValueError as exc:
+            raise ScenarioError(
+                f"{source}:{lineno}: key {key!r} needs a number, got {value!r}"
+            ) from exc
+        if not math.isfinite(number):
+            raise ScenarioError(
+                f"{source}:{lineno}: key {key!r} needs a finite number, got {value!r}"
+            )
+        values[key] = number
+    return Scenario(values=values)
 
 
 #: reference setup: BPSK at 250 kSPS, a 2500-bit frame (10 ms), 8-bit

@@ -106,7 +106,7 @@ def convexity_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
         ul_note = (
             ""
             if scan.ul_monotone_ok
-            else f"; eps_ul turns upward on {len(scan.violations_of('ul_not_nonincreasing'))} "
+            else f"; eps_ul turns upward on {np.count_nonzero(scan.ul_upturn)} "
             "grid intervals near the 0 dB bound (expected for this eta)"
         )
         return SuiteResult(
@@ -114,14 +114,19 @@ def convexity_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
             f"eps_cl convex and eps_dl strictly increasing on {len(scan.n_ul)} "
             f"points (smallest convexity indicator {worst:.3e}){ul_note}",
         )
-    hard = scan.violations_of("cl_second_derivative_not_positive") + scan.violations_of(
-        "dl_not_strictly_increasing"
+    hard = (
+        ("cl_second_derivative_not_positive", scan.cl_not_convex, scan.n_ul,
+         scan.convexity_indicator),
+        ("dl_not_strictly_increasing", scan.dl_not_increasing, scan.n_ul[1:],
+         np.diff(scan.log_eps_dl)),
     )
-    first = hard[0]
+    count = sum(np.count_nonzero(mask) for _, mask, _, _ in hard)
+    kind, mask, n_ul, value = next(h for h in hard if h[1].any())
+    first = np.argmax(mask)
     return SuiteResult(
         "convexity_scan", "fail",
-        f"{len(hard)} violations, first: {first.kind} at "
-        f"n_ul={first.n_ul:.6g} (value {first.value:.3e})",
+        f"{count} violations, first: {kind} at "
+        f"n_ul={n_ul[first]:.6g} (value {value[first]:.3e})",
     )
 
 

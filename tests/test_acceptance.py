@@ -204,9 +204,9 @@ def test_criterion_3_convexity(sweep):
     records, build_time = sweep
     start = time.perf_counter()
     bad = [
-        (r.noise, v.n_ul, v.value)
+        (r.noise, float(r.scan.n_ul[i]), float(r.scan.convexity_indicator[i]))
         for r in records
-        for v in r.scan.violations_of("cl_second_derivative_not_positive")
+        for i in np.flatnonzero(r.scan.cl_not_convex)
     ]
     smallest = min(float(np.min(r.scan.convexity_indicator)) for r in records)
     elapsed = build_time + time.perf_counter() - start

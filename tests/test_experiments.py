@@ -120,21 +120,17 @@ def _bits(scan: ScanReport) -> dict:
     return out
 
 
-def _violation_bits(scan: ScanReport) -> list[tuple[str, str, str]]:
-    return [(v.kind, v.n_ul.hex(), v.value.hex()) for v in scan.violations]
+def _masks(scan: ScanReport) -> list[list[bool]]:
+    """The three violation masks of a scan."""
+    return [scan.ul_upturn.tolist(), scan.dl_not_increasing.tolist(),
+            scan.cl_not_convex.tolist()]
 
 
-def _one_level_violations(cols: ScanReport) -> list[tuple[str, str, str]]:
+def _one_level_masks(cols: ScanReport) -> list[list[bool]]:
     """The violation rules of a one-level scan, applied to 1-D columns."""
-    grid, indicator = cols.n_ul, cols.convexity_indicator
     dlog_ul, dlog_dl = np.diff(cols.log_eps_ul), np.diff(cols.log_eps_dl)
-    found = [("ul_not_nonincreasing", grid[i + 1], dlog_ul[i])
-             for i in np.flatnonzero(dlog_ul > 0.0)]
-    found += [("dl_not_strictly_increasing", grid[i + 1], dlog_dl[i])
-              for i in np.flatnonzero(~(dlog_dl > 0.0))]
-    found += [("cl_second_derivative_not_positive", grid[i], indicator[i])
-              for i in np.flatnonzero(~(indicator > 0.0) & ~cols.saturated)]
-    return [(kind, float(n).hex(), float(v).hex()) for kind, n, v in found]
+    not_convex = ~(cols.convexity_indicator > 0.0) & ~cols.saturated
+    return [(dlog_ul > 0.0).tolist(), (~(dlog_dl > 0.0)).tolist(), not_convex.tolist()]
 
 
 def _eta_nine_at_level_15() -> SystemConfig:
@@ -173,14 +169,14 @@ class TestBlockedSweep:
                 assert record.scan.reason == "empty blocklength domain"
                 continue
             assert _bits(record.scan) == _bits(alone)
-            assert _violation_bits(record.scan) == _violation_bits(alone)
+            assert _masks(record.scan) == _masks(alone)
             assert repr(record.result) == repr(solve(level))
             # the grid of np.linspace and the 1-D columns at scalar noise
             dom = record.domain
             grid = np.linspace(dom.n_lo, dom.n_hi, grid_points)
             one_d = scan_columns(level, grid)
             assert _bits(record.scan) == _bits(one_d)
-            assert _violation_bits(record.scan) == _one_level_violations(one_d)
+            assert _masks(record.scan) == _one_level_masks(one_d)
 
     def test_mixed_configs_cover_both_kinds_of_level(self):
         empty = [r.domain.empty for r in sweep_noise(make_config(E=6.5e-8), 50, 2)]
@@ -189,9 +185,9 @@ class TestBlockedSweep:
         assert [r.domain.empty for r in records] == [False] * 16 + [True] * 34
         assert records[15].domain.n_lo == records[15].domain.n_hi == 9.0
         assert records[15].scan.n_ul.tolist() == [9.0, 9.0, 9.0]
-        kinds = {v.kind for r in sweep_noise(make_config(g_dl=1e-6), 50, 200)
-                 for v in r.scan.violations}
-        assert len(kinds) == 3
+        masks = [_masks(r.scan) for r in sweep_noise(make_config(g_dl=1e-6), 50, 200)]
+        for kind in range(3):
+            assert any(any(m[kind]) for m in masks)
 
     def test_downlink_dispersion_squares_by_a_product(self):
         # at sweep level 36 of g_dl = 0.7841, float ** 2 (libm pow) rounds
@@ -220,7 +216,7 @@ class TestBlockedSweep:
 
     def test_table1_violation_count(self, table1):
         records = sweep_noise(table1, 50, 200)
-        assert sum(len(r.scan.violations) for r in records) == 2534
+        assert sum(sum(map(sum, _masks(r.scan))) for r in records) == 2534
 
     def test_zero_grid_points_rejected_with_every_level_empty(self):
         cfg = make_config(E=1e-12)

@@ -76,11 +76,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="key = value"):
             parse_scenario("just some words")
 
-    def test_run_params(self):
-        scenario = parse_scenario("d=8\ntrials = 5000\nseed = 7\nout_dir = /tmp/x")
-        assert scenario.run.trials == 5000
-        assert scenario.run.seed == 7
-        assert scenario.run.out_dir == "/tmp/x"
+    @pytest.mark.parametrize("key", ["case_grid_points", "sweep_points",
+                                     "sweep_grid_points", "trials", "seed", "out_dir"])
+    def test_run_parameter_is_not_a_scenario_key(self, key, tmp_path, capsys):
+        # run parameters are command-line options only
+        path = tmp_path / "run.scn"
+        path.write_text(f"d = 8\n{key} = 5\n")
+        assert main(["solve", str(path)]) == EXIT_USAGE
+        assert f"{path}:2: unknown scenario key '{key}'" in capsys.readouterr().err
 
     def test_noise_optional_for_sweeps(self):
         text = "d=8\nf_s=250e3\nM=1\nE=0.65e-6\np_dl=10e-3\nn_max=2500"
@@ -256,6 +259,12 @@ class TestValidateCommand:
         assert code == EXIT_VALIDATION
         assert "FAIL derivative_fidelity" in out
 
+    def test_defaults(self, capsys):
+        assert main(["validate", "table1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "(1000000 trials, seed 0)" in out
+        assert "on 200 points" in out
+
     def test_infeasible_scenario_skips(self, tmp_path, capsys):
         code = main(["validate", _hopeless_scenario(tmp_path)])
         out = capsys.readouterr().out
@@ -321,8 +330,8 @@ class TestExitCodeContract:
     ])
     def test_zero_count_is_usage_error(self, argv, message, tmp_path, monkeypatch,
                                        capsys):
-        # 0 is a value given, not a missing option: it must not fall back
-        # to the scenario's default
+        # a given 0 or -1 reaches the range checks, which reject it before
+        # anything is written
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
