@@ -8,7 +8,7 @@ the reliability-optimal split of the frame, with sweep/validation
 tooling and a CLI on top.
 """
 
-from .fbl import LinkState, SystemConfig, log_q, loop_reliability, q_function
+from .fbl import LinkState, SystemConfig, loop_reliability, q_function
 from .energy import (
     DomainBounds,
     Infeasible,
@@ -16,7 +16,6 @@ from .energy import (
     feasible_domain,
     snr_blocklength_product,
     ul_power_of_blocklength,
-    ul_snr_of_blocklength,
 )
 from .derivatives import (
     ScanReport,
@@ -27,7 +26,6 @@ from .derivatives import (
     loop_log_error,
 )
 from .optimizer import (
-    NotConvexError,
     OptimizerCase,
     SolveResult,
     grid_search_oracle,
@@ -48,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LinkState",
     "SystemConfig",
-    "log_q",
     "loop_reliability",
     "q_function",
     "DomainBounds",
@@ -57,14 +54,12 @@ __all__ = [
     "feasible_domain",
     "snr_blocklength_product",
     "ul_power_of_blocklength",
-    "ul_snr_of_blocklength",
     "ScanReport",
     "convexity_scan",
     "d_eps_cl_dn",
     "d_eps_cl_sign",
     "fd_derivative",
     "loop_log_error",
-    "NotConvexError",
     "OptimizerCase",
     "SolveResult",
     "optimize_continuous",

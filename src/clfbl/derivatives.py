@@ -35,9 +35,9 @@ log-magnitudes ``_ul_log_d_eps`` and ``_dl_log_d_eps`` (``math.log`` or
 ``np.log``).  The array kernels ``_ul_d_eps`` and ``_dl_d_eps`` feed the
 scan, the validation suite and ``d_eps_cl_dn``; the solver's per-config
 sign kernel ``_sign_kernel`` (``d_eps_cl_sign`` is that kernel at one
-checked point) and LinkState stay on ``math``, whose log1p the golden
-fixtures pin.  The scan and ``fd_derivative`` share one Richardson
-stencil, ``_richardson``.
+checked point) stays on ``math``, whose log1p the golden fixtures pin.
+The scan and ``fd_derivative`` share one Richardson stencil,
+``_richardson``.
 """
 
 from __future__ import annotations
@@ -48,38 +48,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fbl import (
-    LinkState,
-    SystemConfig,
-    _channel,
-    _code,
-    _eps_of,
-    _log_eps_of,
-)
-from .energy import (
-    DomainBounds,
-    Infeasible,
-    feasible_domain,
-    snr_blocklength_product,
-    ul_snr_of_blocklength,
-)
+from .fbl import SystemConfig, _channel, _code, _eps_of, _log_eps_of
+from .energy import DomainBounds, Infeasible, feasible_domain, snr_blocklength_product
 
 _LN2 = math.log(2.0)
 # log of the prefactor of |phi| = (ln 2)/sqrt(2*pi) * exp(-x^2/2)
 _LOG_PHI_COEFF = math.log(_LN2 / math.sqrt(2.0 * math.pi))
-
-# ---------------------------------------------------------------------------
-# link states under the coupling
-# ---------------------------------------------------------------------------
-
-def ul_state(cfg: SystemConfig, n_ul: float) -> LinkState:
-    """Uplink link state at n_ul with the energy budget fully spent."""
-    return LinkState.from_snr(n_ul, ul_snr_of_blocklength(cfg, n_ul), cfg.d, cfg.B)
-
-
-def dl_state(cfg: SystemConfig, n_ul: float) -> LinkState:
-    """Downlink link state at n_dl = n_max - n_ul."""
-    return LinkState.from_snr(cfg.n_max - n_ul, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
 
 
 def loop_log_error(cfg: SystemConfig, n_ul: float) -> float:
@@ -98,7 +72,7 @@ def loop_log_error(cfg: SystemConfig, n_ul: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _LinkColumns(NamedTuple):
-    """The quantities of :class:`LinkState` at scalars or ndarrays.
+    """One link's quantities under the coupling, at scalars or ndarrays.
 
     Built by plain arithmetic with no validation, so the finite-difference
     stencils and the array scan can evaluate whole grids at once.
@@ -242,8 +216,8 @@ def _sign_kernel(cfg: SystemConfig) -> Callable[[float], int]:
     solver's bisection, with eta and the downlink's capacity and dispersion
     computed once per config.  Each call evaluates the uplink and, only
     where the uplink term is negative, the downlink, in plain floats with
-    no LinkState or erfc, and applies the sign rule of the module
-    docstring.  Unchecked: n_ul must lie in [d, n_max - d].
+    no erfc, and applies the sign rule of the module docstring.
+    Unchecked: n_ul must lie in [d, n_max - d].
     """
     eta, d, B, n_max = snr_blocklength_product(cfg), cfg.d, cfg.B, cfg.n_max
     cap_dl, V_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, B)
@@ -465,9 +439,7 @@ def scan_columns(
 _BLOCK_POINTS = 2000
 
 
-def convexity_scan(
-    cfg: SystemConfig, grid_points: int = 200
-) -> ScanReport | Infeasible:
+def convexity_scan(cfg: SystemConfig, grid_points: int) -> ScanReport | Infeasible:
     """Scan eps_ul, eps_dl, eps_cl and their derivatives over the domain.
 
     Checks, on a uniform grid over [n_lo, n_hi]: eps_ul monotone
@@ -481,7 +453,7 @@ def convexity_scan(
 
 
 def scan_levels(
-    cfgs: Sequence[SystemConfig], grid_points: int = 200
+    cfgs: Sequence[SystemConfig], grid_points: int
 ) -> list[ScanReport | Infeasible]:
     """:func:`convexity_scan` of each config, in blocked array passes.
 

@@ -50,13 +50,6 @@ def snr_blocklength_product(cfg: SystemConfig) -> float:
     return cfg.E * cfg.M * cfg.f_s * cfg.g_ul / cfg.N
 
 
-def ul_snr_of_blocklength(cfg: SystemConfig, n_ul: float) -> float:
-    """Uplink SNR eta/n_ul induced by spending the full energy budget."""
-    if n_ul <= 0.0:
-        raise ValueError(f"blocklength must be positive, got {n_ul!r}")
-    return snr_blocklength_product(cfg) / n_ul
-
-
 def ul_power_of_blocklength(cfg: SystemConfig, n_ul: float) -> float:
     """Uplink power E*M*f_s/n_ul; satisfies n_ul*p/(M*f_s) = E."""
     if n_ul <= 0.0:

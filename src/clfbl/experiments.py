@@ -6,10 +6,13 @@ records the feasible domain, the solved allocation, and a grid scan of
 the loop error and its derivative structure.  The scans of all levels
 run as a few 2-D array passes, one per block of whole levels
 (:func:`~clfbl.derivatives.scan_levels`); each level is solved on its
-own, by the scalar bisection.  The seeded Monte Carlo
-simulation is intentionally independent of the optimizer's code path;
-the exhaustive integer oracle lives in :mod:`clfbl.optimizer`, which
-also answers with it where a link is not above its capacity threshold.
+own, by the scalar bisection.  The seeded Monte Carlo simulation draws
+coins with the error rates it is given (``validate`` passes the
+solver's); what it checks is the sequential two-coin loop, an uplink
+coin and then a downlink coin only after an uplink success, against the
+closed form (1-a)(1-b).  The exhaustive integer oracle lives in
+:mod:`clfbl.optimizer`, which also answers with it where a link is not
+above its capacity threshold.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ import numpy as np
 
 from .fbl import SystemConfig, loop_reliability
 from .energy import DomainBounds, Infeasible, feasible_domain
-from .derivatives import ScanReport, convexity_scan, dl_state, scan_levels, ul_state
+from .derivatives import ScanReport, convexity_scan, scan_levels
 from .optimizer import SolveResult, solve
 
-#: RNG algorithm recorded in Monte Carlo results for reproducibility
+#: RNG algorithm of the Monte Carlo draws, recorded in the sweep and
+#: case-study metadata
 GENERATOR_ID = "numpy.random.Generator(PCG64)"
 
 #: normal quantile for a two-sided 99% confidence interval
@@ -42,7 +46,7 @@ class SweepRecord:
     scan: ScanReport | Infeasible
 
 
-def record_at_noise(cfg: SystemConfig, grid_points: int = 200) -> SweepRecord:
+def record_at_noise(cfg: SystemConfig, grid_points: int) -> SweepRecord:
     """Sweep record for cfg's own noise level."""
     return _record(cfg, convexity_scan(cfg, grid_points))
 
@@ -61,9 +65,7 @@ def noise_grid(p_dl: float, n_points: int) -> np.ndarray:
     return np.geomspace(p_dl * 1e-4, p_dl * (1.0 - 1e-3), n_points)
 
 
-def sweep_noise(
-    cfg: SystemConfig, n_points: int = 50, grid_points: int = 200
-) -> list[SweepRecord]:
+def sweep_noise(cfg: SystemConfig, n_points: int, grid_points: int) -> list[SweepRecord]:
     """Per-noise records over the standard (0, p_dl) logarithmic grid;
     the levels are scanned together, then solved one by one.  A level
     that the model rejects is named as a level of the sweep."""
@@ -84,12 +86,7 @@ class MonteCarloResult:
     estimate: float
     ci_low: float
     ci_high: float
-    trials: int
-    seed: int
-    eps_ul: float
-    eps_dl: float
     analytic_r_loop: float
-    generator: str = GENERATOR_ID
 
     def contains_analytic(self) -> bool:
         return self.ci_low <= self.analytic_r_loop <= self.ci_high
@@ -120,9 +117,11 @@ def _successes(rng: np.random.Generator, draws: int, p: float) -> int:
 
 
 def monte_carlo_validate(
-    cfg: SystemConfig, n_ul: float, trials: int, seed: int
+    eps_ul: float, eps_dl: float, trials: int, seed: int
 ) -> MonteCarloResult:
-    """Simulate the closed loop as sequential biased coin flips.
+    """Simulate the closed loop as sequential biased coin flips with the
+    per-link error rates eps_ul and eps_dl, checked to lie in [0, 1]
+    before anything is drawn.
 
     Each trial first draws the uplink decoding outcome; the downlink coin
     is drawn only for trials whose uplink succeeded (the product law
@@ -138,8 +137,7 @@ def monte_carlo_validate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
-    eps_ul = ul_state(cfg, n_ul).eps
-    eps_dl = dl_state(cfg, n_ul).eps
+    analytic = loop_reliability(eps_ul, eps_dl)
     rng = np.random.default_rng(seed)
     n_ul_ok = _successes(rng, trials, 1.0 - eps_ul)
     loop_ok = _successes(rng, n_ul_ok, 1.0 - eps_dl)
@@ -151,16 +149,7 @@ def monte_carlo_validate(
     else:
         half = _Z99 * math.sqrt(estimate * (1.0 - estimate) / trials)
         ci_low, ci_high = estimate - half, estimate + half
-    return MonteCarloResult(
-        estimate=estimate,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        trials=trials,
-        seed=seed,
-        eps_ul=eps_ul,
-        eps_dl=eps_dl,
-        analytic_r_loop=loop_reliability(eps_ul, eps_dl),
-    )
+    return MonteCarloResult(estimate, ci_low, ci_high, analytic)
 
 
 def config_digest(cfg: SystemConfig) -> str:

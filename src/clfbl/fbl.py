@@ -12,8 +12,7 @@ that per-link model plus the closed-loop combinators (a loop succeeds
 only if both the uplink request and the downlink response decode).
 
 Error rates below the double-precision underflow threshold saturate to
-exactly 0.0; use :func:`log_q` where the magnitude of deep-tail values
-matters.
+exactly 0.0; ``_log_eps_of`` gives log Q, which stays finite there.
 """
 
 from __future__ import annotations
@@ -49,13 +48,6 @@ def q_function(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"q_function requires a finite argument, got {x!r}")
     return float(_eps_of(x))
-
-
-def log_q(x: float) -> float:
-    """Natural log of Q(x), finite for any x where Q underflows in double."""
-    if not math.isfinite(x):
-        raise ValueError(f"log_q requires a finite argument, got {x!r}")
-    return float(_log_eps_of(x))
 
 
 def _channel(gamma, B: float, xp=math) -> tuple:
@@ -161,7 +153,9 @@ class LinkState:
 
     All fields are deterministic functions of (n, gamma, d, B); the class
     is only built through :meth:`from_snr`, so that reconstruction from the
-    same inputs is bit-identical.
+    same inputs is bit-identical.  No CLI path builds one: the solver and
+    the scan evaluate ``_channel`` and ``_code`` directly, and the class
+    stays while ``perfbench/tracing.py`` wraps :meth:`from_snr` by name.
     """
 
     n: float

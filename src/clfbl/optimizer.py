@@ -23,8 +23,9 @@ exhaustive integer argmin of log eps_cl (the oracle's code path), reports
 the case as ``EXHAUSTIVE`` and names the link in its notes.  Otherwise it
 bisects below the downlink's threshold, past which eps_dl > 1/2; the
 answer stands when its eps_cl, read in the ranking's plain floats, is at
-most 1/2, and the exhaustive argmin decides when it is not.  ``optimize_continuous`` itself raises
-``NotConvexError`` on a sign pattern that convexity rules out.
+most 1/2, and the exhaustive argmin decides when it is not.
+``optimize_continuous`` itself raises ``RuntimeError`` on a sign pattern
+that convexity rules out.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ class OptimizerCase(enum.Enum):
     EXHAUSTIVE = "exhaustive"
 
 
-class NotConvexError(RuntimeError):
-    """The boundary derivative signs contradict convexity of eps_cl."""
-
-
 @dataclass(frozen=True)
 class ContinuousSolution:
     n_ul: float
@@ -119,7 +116,7 @@ def optimize_continuous(
     (``INTERIOR_ROOT`` at 596.7 on d=21, E=3.32e-8, p_dl=1.133e-9,
     N=5.696e-6, n_max=893, where ``solve`` and the oracle give 91).
 
-    Raises NotConvexError when the derivative is positive at the left
+    Raises RuntimeError when the derivative is positive at the left
     bound and negative at the right, which convexity rules out.
     """
     dom = feasible_domain(cfg) if domain is None else domain
@@ -134,7 +131,7 @@ def optimize_continuous(
     if s_lo > 0 and s_hi < 0:
         # interior maximum: possible once the downlink drops below its
         # capacity threshold inside the domain (eps_cl not convex there)
-        raise NotConvexError(
+        raise RuntimeError(
             "derivative positive at the left bound and negative at the right "
             "contradicts convexity of the loop error on "
             f"[{dom.n_lo!r}, {dom.n_hi!r}]"
@@ -209,8 +206,8 @@ def grid_search_oracle(
 
 def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: float) -> tuple:
     """(x_ul, x_dl, scale) at n_ul = n on the ``math`` backend: the decoding
-    arguments of ``LinkState.from_snr`` bit for bit, and the scale of
-    ``_RANK_TOL``."""
+    arguments of ``_channel`` and ``_code`` at the uplink SNR eta/n and at
+    n_dl = n_max - n, and the scale of ``_RANK_TOL``."""
     cap, disp = _channel(eta / n, cfg.B)
     _, b_ul, x_ul = _code(n, cap, disp, cfg.d)
     _, b_dl, x_dl = _code(cfg.n_max - n, *channel_dl, cfg.d)

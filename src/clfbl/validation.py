@@ -2,9 +2,10 @@
 
 Each suite pits an implementation path against an independent one
 (analytic derivatives against finite differences, the bisection solver
-against exhaustive integer search, the analytic loop reliability against
-a seeded Monte Carlo run) and reports its worst residual.  On an
-infeasible scenario every suite is skipped rather than failed.
+against exhaustive integer search, the closed-form loop reliability of
+the solver's error rates against a seeded Monte Carlo run of the
+two-coin loop) and reports its worst residual.  On an infeasible
+scenario every suite is skipped rather than failed.
 
 The analytic derivatives come from the array derivative kernel in
 :mod:`clfbl.derivatives`, the one the grid scan reads: the numpy backend
@@ -157,12 +158,13 @@ def optimizer_suite(cfg: SystemConfig, result: SolveResult | Infeasible) -> Suit
 
 
 def monte_carlo_suite(
-    cfg: SystemConfig, result: SolveResult | Infeasible, trials: int, seed: int
+    result: SolveResult | Infeasible, trials: int, seed: int
 ) -> SuiteResult:
-    """Analytic loop reliability inside the simulated confidence interval."""
+    """Closed-form loop reliability of the solver's error rates inside the
+    confidence interval simulated with those rates."""
     if isinstance(result, Infeasible):
         return SuiteResult("monte_carlo", "skipped", f"infeasible: {result.reason}")
-    mc = monte_carlo_validate(cfg, result.n_ul, trials, seed)
+    mc = monte_carlo_validate(result.eps_ul, result.eps_dl, trials, seed)
     inside = mc.contains_analytic()
     return SuiteResult(
         "monte_carlo", "pass" if inside else "fail",
@@ -199,8 +201,7 @@ def approximation_gap_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
 
 
 def run_validation(
-    cfg: SystemConfig, trials: int = 1_000_000, seed: int = 0,
-    grid_points: int = 200,
+    cfg: SystemConfig, trials: int, seed: int, grid_points: int
 ) -> list[SuiteResult]:
     """Run every suite; on an empty domain each one is skipped.
 
@@ -218,6 +219,6 @@ def run_validation(
         derivative_fidelity_suite(cfg),
         convexity_suite(scan),
         optimizer_suite(cfg, result),
-        monte_carlo_suite(cfg, result, trials, seed),
+        monte_carlo_suite(result, trials, seed),
         approximation_gap_suite(scan),
     ]

@@ -55,9 +55,7 @@ from clfbl.derivatives import (
     _ul_eps,
     _dl_link,
     _ul_link,
-    dl_state,
     scan_columns,
-    ul_state,
 )
 from clfbl.energy import Infeasible
 
@@ -342,10 +340,11 @@ def test_criterion_8_monte_carlo(table1_cfg):
     start = time.perf_counter()
     cfg = dataclasses.replace(table1_cfg, N=6e-3)
     n_ul = 9.0
-    eps_cl = ul_state(cfg, n_ul).eps + dl_state(cfg, n_ul).eps
+    eps_ul, eps_dl = float(_ul_eps(cfg, n_ul)), float(_dl_eps(cfg, n_ul))
+    eps_cl = eps_ul + eps_dl
     assert 3e-3 <= eps_cl <= 3e-2  # operating point with eps_cl ~ 1e-2
     hits = sum(
-        monte_carlo_validate(cfg, n_ul, 1_000_000, seed).contains_analytic()
+        monte_carlo_validate(eps_ul, eps_dl, 1_000_000, seed).contains_analytic()
         for seed in range(10)
     )
     elapsed = time.perf_counter() - start

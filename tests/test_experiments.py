@@ -22,20 +22,25 @@ from clfbl import (
 from clfbl.cli import grid_columns
 from clfbl.derivatives import (
     ScanReport,
+    _dl_eps,
+    _ul_eps,
     convexity_scan,
     scan_columns,
     scan_levels,
 )
 from clfbl.energy import Infeasible, feasible_domain
-from clfbl.fbl import _channel
+from clfbl.fbl import LinkState, _channel
 import clfbl.experiments as experiments
 from clfbl.experiments import (
-    GENERATOR_ID,
     _successes,
     config_digest,
     record_at_noise,
 )
-from clfbl.validation import approximation_gap_suite, derivative_fidelity_suite
+from clfbl.validation import (
+    approximation_gap_suite,
+    derivative_fidelity_suite,
+    run_validation,
+)
 
 from conftest import make_config
 
@@ -265,36 +270,60 @@ class TestGridSearchOracle:
         assert isinstance(grid_search_oracle(make_config(N=0.1)), Infeasible)
 
 
+def _eps_at(cfg, n_ul):
+    """(eps_ul, eps_dl) of cfg at n_ul, as floats."""
+    return float(_ul_eps(cfg, n_ul)), float(_dl_eps(cfg, n_ul))
+
+
 class TestMonteCarlo:
     def test_perfect_links_give_exactly_one(self):
-        cfg = make_config(N=1e-12)
-        result = solve(cfg)
-        mc = monte_carlo_validate(cfg, result.n_ul, 10_000, seed=3)
-        assert mc.eps_ul == 0.0 and mc.eps_dl == 0.0
+        result = solve(make_config(N=1e-12))
+        assert result.eps_ul == 0.0 and result.eps_dl == 0.0
+        mc = monte_carlo_validate(result.eps_ul, result.eps_dl, 10_000, seed=3)
         assert mc.estimate == 1.0
 
     def test_deterministic_for_seed(self, table1):
-        cfg = make_config(N=6e-3)
-        a = monte_carlo_validate(cfg, 9.0, 200_000, seed=42)
-        b = monte_carlo_validate(cfg, 9.0, 200_000, seed=42)
+        eps = _eps_at(make_config(N=6e-3), 9.0)
+        a = monte_carlo_validate(*eps, 200_000, seed=42)
+        b = monte_carlo_validate(*eps, 200_000, seed=42)
         assert a == b
-        c = monte_carlo_validate(cfg, 9.0, 200_000, seed=43)
-        assert c.estimate != a.estimate or c.seed != a.seed
+        c = monte_carlo_validate(*eps, 200_000, seed=43)
+        assert c.estimate != a.estimate
 
     def test_analytic_inside_ci_at_percent_level(self):
         # operating point with eps_cl ~ 1e-2, where the normal CI is healthy
-        cfg = make_config(N=6e-3)
-        mc = monte_carlo_validate(cfg, 9.0, 500_000, seed=1)
+        mc = monte_carlo_validate(*_eps_at(make_config(N=6e-3), 9.0), 500_000, seed=1)
         assert 3e-3 <= 1.0 - mc.analytic_r_loop <= 3e-2
         assert mc.ci_low <= mc.analytic_r_loop <= mc.ci_high
 
-    def test_generator_identifier_recorded(self, table1):
-        mc = monte_carlo_validate(table1, 20.0, 1_000, seed=0)
-        assert mc.generator == GENERATOR_ID
-
     def test_rejects_zero_trials(self, table1):
         with pytest.raises(ValueError):
-            monte_carlo_validate(table1, 20.0, 0, seed=0)
+            monte_carlo_validate(*_eps_at(table1, 20.0), 0, seed=0)
+
+    @pytest.mark.parametrize("eps_ul, eps_dl", [
+        (float("nan"), 0.0), (0.0, float("nan")), (-1e-3, 0.0), (0.0, 1.5),
+    ])
+    def test_rejects_error_rate_before_drawing(self, eps_ul, eps_dl, monkeypatch):
+        made = _spy_generators(monkeypatch)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            monte_carlo_validate(eps_ul, eps_dl, 1_000, seed=0)
+        assert made == []
+
+    def test_validation_builds_no_link_state(self, table1, monkeypatch):
+        # the Monte Carlo suite simulates the error rates solve computed,
+        # with no second evaluation of the links
+        expected = run_validation(table1, trials=1000, seed=0, grid_points=200)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("LinkState.from_snr called")
+
+        monkeypatch.setattr(LinkState, "from_snr", refuse)
+        report = run_validation(table1, trials=1000, seed=0, grid_points=200)
+        assert report == expected
+        assert [s.name for s in report] == [
+            "derivative_fidelity", "convexity_scan", "optimizer_vs_oracle",
+            "monte_carlo", "approximation_gap",
+        ]
 
 
 def _one_shot(rng, draws, p):
@@ -364,15 +393,11 @@ class TestMonteCarloStream:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("trials", EDGE_DRAWS[1:])
-    def test_validate_matches_one_shot(self, table1, trials, monkeypatch):
+    def test_validate_matches_one_shot(self, trials, monkeypatch):
         made = _spy_generators(monkeypatch)
         for eps_ul in EDGE_EPS:
             for eps_dl in EDGE_EPS:
-                monkeypatch.setattr(experiments, "ul_state",
-                                    lambda cfg, n: SimpleNamespace(eps=eps_ul))
-                monkeypatch.setattr(experiments, "dl_state",
-                                    lambda cfg, n: SimpleNamespace(eps=eps_dl))
-                mc = monte_carlo_validate(table1, 20.0, trials, seed=9)
+                mc = monte_carlo_validate(eps_ul, eps_dl, trials, seed=9)
                 loop_ok, ref = _one_shot_loop(eps_ul, eps_dl, trials, 9)
                 assert mc.estimate == loop_ok / trials, (eps_ul, eps_dl)
                 assert made[-1].bit_generator.state == ref.bit_generator.state
@@ -380,19 +405,19 @@ class TestMonteCarloStream:
     def test_table1_sweep_at_full_trials(self, table1, monkeypatch):
         # every field at 1e6 trials, which spans 16 blocks of uniforms
         for record in sweep_noise(table1, 50, grid_points=2):
-            cfg = make_config(N=record.noise)
-            chunked = monte_carlo_validate(cfg, record.result.n_ul, 10**6, seed=0)
+            eps = record.result.eps_ul, record.result.eps_dl
+            chunked = monte_carlo_validate(*eps, 10**6, seed=0)
             with monkeypatch.context() as patch:
                 patch.setattr(experiments, "_successes", _one_shot)
-                one_shot = monte_carlo_validate(cfg, record.result.n_ul, 10**6, seed=0)
+                one_shot = monte_carlo_validate(*eps, 10**6, seed=0)
             assert chunked == one_shot, record.noise
 
     def test_memory_flat_in_trials(self, table1):
         # the one-shot draw peaks at 38 MiB here, in arrays of 4e6 doubles and masks
-        n_ul = solve(table1).n_ul
+        result = solve(table1)
         tracemalloc.start()
         try:
-            monte_carlo_validate(table1, n_ul, 4_000_000, seed=0)
+            monte_carlo_validate(result.eps_ul, result.eps_dl, 4_000_000, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clfbl import LinkState, log_q, loop_reliability, q_function
-from clfbl.derivatives import dl_state
-from clfbl.energy import ul_snr_of_blocklength
-from clfbl.fbl import _channel
+from clfbl import LinkState, loop_reliability, q_function, snr_blocklength_product
+from clfbl.fbl import _channel, _log_eps_of
 
 from conftest import make_config
 
@@ -67,16 +65,14 @@ class TestQFunction:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             q_function(bad)
-        with pytest.raises(ValueError):
-            log_q(bad)
 
     def test_log_q_matches_where_representable(self):
         for x in (-3.0, 0.0, 1.0, 5.0, 10.0):
-            assert math.exp(log_q(x)) == pytest.approx(q_function(x), rel=1e-12)
+            assert math.exp(_log_eps_of(x)) == pytest.approx(q_function(x), rel=1e-12)
 
     def test_log_q_finite_in_deep_tail(self):
-        assert math.isfinite(log_q(200.0))
-        assert log_q(200.0) < -19000.0
+        assert math.isfinite(_log_eps_of(200.0))
+        assert _log_eps_of(200.0) < -19000.0
 
 
 def _capacity(gamma, B=1.0):
@@ -92,13 +88,18 @@ def _columns_at(gammas):
     return _channel(np.asarray(gammas, dtype=float), 1.0, np)
 
 
+def _dl_state(cfg, n_ul):
+    """The downlink's LinkState at n_dl = n_max - n_ul."""
+    return LinkState.from_snr(cfg.n_max - n_ul, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
+
+
 class TestSnr:
     def test_reference_downlink(self):
-        assert dl_state(make_config(), 54.0).gamma == pytest.approx(10.0 / 3.0, rel=1e-15)
+        assert _dl_state(make_config(), 54.0).gamma == pytest.approx(10.0 / 3.0, rel=1e-15)
 
     def test_gain_noise_scaling_cancels(self):
-        scaled = dl_state(make_config(p_dl=0.123, g_dl=2.0, N=2.0 * 0.7), 54.0)
-        plain = dl_state(make_config(p_dl=0.123, g_dl=1.0, N=0.7), 54.0)
+        scaled = _dl_state(make_config(p_dl=0.123, g_dl=2.0, N=2.0 * 0.7), 54.0)
+        plain = _dl_state(make_config(p_dl=0.123, g_dl=1.0, N=0.7), 54.0)
         assert scaled.gamma == pytest.approx(plain.gamma, rel=1e-15)
 
 
@@ -135,11 +136,11 @@ class TestFblErrorRate:
 
     def test_pinned_table_value(self):
         cfg = make_config()
-        gamma = ul_snr_of_blocklength(cfg, 54.0)
+        gamma = snr_blocklength_product(cfg) / 54.0
         state = LinkState.from_snr(54.0, gamma, 8.0, 1.0)
         assert state.eps == pytest.approx(EPS_UL_AT_54, rel=1e-12)
         # second, log-domain implementation of the same quantity
-        assert math.exp(log_q(state.x)) == pytest.approx(state.eps, rel=1e-12)
+        assert math.exp(_log_eps_of(state.x)) == pytest.approx(state.eps, rel=1e-12)
 
     def test_decreasing_in_gamma(self):
         values = [LinkState.from_snr(50.0, g, 8.0).eps for g in (0.8, 1.6, 3.2)]

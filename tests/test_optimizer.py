@@ -270,7 +270,7 @@ class TestSolve:
         # the downlink crosses its threshold inside the domain, so only the
         # part below n_max - d/C_dl is bisected.  Over the whole domain the
         # first two gave the right bound (eps_cl ~1), the third raised
-        # NotConvexError; the first one's optimum lies past the crossing
+        # a RuntimeError; the first one's optimum lies past the crossing
         (dict(d=2.6941587338923445, f_s=28878911.021961864, M=2.104378528273548,
               E=8.372054868874573e-12, p_dl=1.2918030925958794e-07,
               N=2.929674040785615e-08, n_max=5531.564563232378,
