@@ -8,10 +8,10 @@ if g(n_hi) <= 0, otherwise the unique interior root of g, found by
 bisection on one plain-float sign kernel per solve
 (``derivatives._sign_kernel``; ``d_eps_cl_sign`` is that kernel at one
 point).  The integer allocation is the better neighbour of the continuous
-optimum, ranked by log eps_cl in plain floats; where the two values lie
-closer than the ``math`` and numpy backends can disagree (``_RANK_TOL``),
-the oracle's array argmin decides, so the choice is that argmin's either
-way.  The error rates come from the decoding arguments of that ranking;
+optimum, ranked by log eps_cl on the numpy backend, where the floor and
+ceil take the bits the oracle's array gives them, so the choice is the
+oracle's, the smaller n on a tie.  The error rates come from the
+decoding arguments at that allocation on the ``math`` backend;
 per-direction error-rate caps are checked afterwards without altering
 the allocation.
 
@@ -22,8 +22,8 @@ n_ul = n_max - d/C_dl.  Unless both are positive at n_lo, it takes the
 exhaustive integer argmin of log eps_cl (the oracle's code path), reports
 the case as ``EXHAUSTIVE`` and names the link in its notes.  Otherwise it
 bisects below the downlink's threshold, past which eps_dl > 1/2; the
-answer stands when its eps_cl, read in the ranking's plain floats, is at
-most 1/2, and the exhaustive argmin decides when it is not.
+answer stands when its eps_cl, read off the ranking's key, is at most
+1/2, and the exhaustive argmin decides when it is not.
 ``optimize_continuous`` itself raises ``RuntimeError`` on a sign pattern
 that convexity rules out.
 """
@@ -52,17 +52,6 @@ ROOT_INTERVAL_TOL = 1e-6
 
 #: most integers ``grid_search_oracle`` evaluates in one array pass
 _ORACLE_CHUNK = 1 << 16
-
-#: ``solve`` ranks the floor and ceil of the continuous optimum by their
-#: log eps_cl on the ``math`` backend; ``_argmin`` uses numpy's.  The two
-#: differ only in ``log1p``, by a unit or so in the last place of the
-#: capacity C.  That moves a link's x by at most beta*dC plus the rounding
-#: of x, and log Q(x) by at most |x| + 1 times as much, as
-#: |d log Q/dx| < |x| + 1.  So the numpy value lies within about
-#: 14 * 2**-53 scales of the math one, with ``_point``'s scale
-#: (|x| + 1)(beta*C + |x| + 1) summed over both links.  Where the two
-#: values are not 2**-48 scales apart, ``_argmin`` decides.
-_RANK_TOL = 2.0**-48
 
 
 class OptimizerCase(enum.Enum):
@@ -176,9 +165,20 @@ def _integer_range(dom: DomainBounds) -> tuple[int, int] | Infeasible:
     return lo, hi
 
 
-def _argmin(cfg: SystemConfig, lo: int, hi: int) -> int:
-    """The smallest n in [lo, hi] minimizing log eps_cl, evaluated in chunks of
-    ``_ORACLE_CHUNK`` integers, so memory does not grow with the range."""
+def grid_search_oracle(
+    cfg: SystemConfig, domain: DomainBounds | None = None
+) -> int | Infeasible:
+    """Exhaustive integer argmin of eps_cl over the feasible domain.
+
+    Evaluates every integer blocklength (in log space, so deep-tail
+    values still order correctly) and returns the smallest argmin.
+    Runtime is linear in the domain width; memory is not, as the
+    integers are evaluated in chunks of ``_ORACLE_CHUNK``.
+    """
+    bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
+    if isinstance(bounds, Infeasible):
+        return bounds
+    lo, hi = bounds
     best_n, best_v = lo, math.inf
     for start in range(lo, hi + 1, _ORACLE_CHUNK):
         values = _cl_log_eps(cfg, np.arange(start, min(start + _ORACLE_CHUNK, hi + 1),
@@ -189,47 +189,20 @@ def _argmin(cfg: SystemConfig, lo: int, hi: int) -> int:
     return best_n
 
 
-def grid_search_oracle(
-    cfg: SystemConfig, domain: DomainBounds | None = None
-) -> int | Infeasible:
-    """Exhaustive integer argmin of eps_cl over the feasible domain.
-
-    Evaluates every integer blocklength (in log space, so deep-tail
-    values still order correctly) and returns the smallest argmin.
-    Runtime is linear in the domain width, memory is not.
-    """
-    bounds = _integer_range(feasible_domain(cfg) if domain is None else domain)
-    if isinstance(bounds, Infeasible):
-        return bounds
-    return _argmin(cfg, *bounds)
+def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: float, xp=math) -> tuple:
+    """(x_ul, x_dl) at n_ul = n on backend ``xp``: the decoding arguments of
+    ``_channel`` and ``_code`` at the uplink SNR eta/n and at n_dl = n_max - n,
+    with ``channel_dl`` the downlink's ``_channel`` on the same backend."""
+    _, _, x_ul = _code(n, *_channel(eta / n, cfg.B, xp), cfg.d, xp)
+    _, _, x_dl = _code(cfg.n_max - n, *channel_dl, cfg.d, xp)
+    return x_ul, x_dl
 
 
-def _point(cfg: SystemConfig, eta: float, channel_dl: tuple, n: float) -> tuple:
-    """(x_ul, x_dl, scale) at n_ul = n on the ``math`` backend: the decoding
-    arguments of ``_channel`` and ``_code`` at the uplink SNR eta/n and at
-    n_dl = n_max - n, and the scale of ``_RANK_TOL``."""
-    cap, disp = _channel(eta / n, cfg.B)
-    _, b_ul, x_ul = _code(n, cap, disp, cfg.d)
-    _, b_dl, x_dl = _code(cfg.n_max - n, *channel_dl, cfg.d)
-    scale = ((abs(x_ul) + 1.0) * (b_ul * cap + abs(x_ul) + 1.0)
-             + (abs(x_dl) + 1.0) * (b_dl * channel_dl[0] + abs(x_dl) + 1.0))
-    return x_ul, x_dl, scale
-
-
-def _log_cl(point: tuple) -> float:
-    """log eps_cl of a ``_point`` tuple, on the ``math`` backend's x."""
-    x_ul, x_dl, _ = point
+def _log_cl(x_ul, x_dl):
+    """log eps_cl at the decoding arguments of ``_point``.  On the numpy
+    backend these are the operations of ``derivatives._cl_log_eps`` on
+    scalars, so the value has the bits the oracle's array gives n."""
     return np.logaddexp(_log_eps_of(x_ul), _log_eps_of(x_dl))
-
-
-def _better(cfg: SystemConfig, points: dict, a: int, b: int) -> int:
-    """Of a < b, the one ``_argmin(cfg, a, b)`` returns: read off the
-    ``math`` backend's log eps_cl where the two values are far enough apart
-    (``_RANK_TOL``), from ``_argmin`` itself where they are not."""
-    va, vb = _log_cl(points[a]), _log_cl(points[b])
-    if abs(va - vb) > _RANK_TOL * (points[a][2] + points[b][2]):
-        return a if va < vb else b
-    return _argmin(cfg, a, b)
 
 
 def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
@@ -246,21 +219,25 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     if isinstance(bounds, Infeasible):
         return bounds
     lo, hi = bounds
-    channel_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, cfg.B)
+    gamma_dl = cfg.p_dl * cfg.g_dl / cfg.N
+    channel_dl = _channel(gamma_dl, cfg.B)
     # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
     # downlink's is positive only below n_ul = n_max - d/C_dl
-    x_ul, x_dl, _ = _point(cfg, dom.eta, channel_dl, dom.n_lo)
-    points = {}
+    x_ul, x_dl = _point(cfg, dom.eta, channel_dl, dom.n_lo)
     if x_ul > 0.0 and x_dl > 0.0:
         top = min(dom.n_hi, max(dom.n_lo, cfg.n_max - cfg.d / channel_dl[0]))
         cont = optimize_continuous(cfg, dom if top == dom.n_hi else replace(dom, n_hi=top))
         # floor and ceil of a point in [n_lo, n_hi] lie in [lo - 1, hi + 1]
         a, b = max(math.floor(cont.n_ul), lo), min(math.ceil(cont.n_ul), hi)
-        points = {n: _point(cfg, dom.eta, channel_dl, n) for n in {a, b}}
-        n_ul = a if a == b else _better(cfg, points, a, b)
+        # the key is log eps_cl on the oracle's backend, read where it is used
+        key = {}
+        if a != b or top < dom.n_hi:
+            channel_np = _channel(gamma_dl, cfg.B, np)
+            key = {n: _log_cl(*_point(cfg, dom.eta, channel_np, n, np)) for n in {a, b}}
+        n_ul = a if a == b or key[a] <= key[b] else b
         # past top, eps_dl > 1/2: the bisection's answer stands if it beats that
         why = None
-        if top < dom.n_hi and not _log_cl(points[n_ul]) <= math.log(0.5):
+        if top < dom.n_hi and not key[n_ul] <= math.log(0.5):
             why = (f"downlink at or below the capacity threshold past n_ul={top!r}, "
                    "and eps_cl above 1/2 before it")
     else:
@@ -274,7 +251,8 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
             float(n_ul), OptimizerCase.EXHAUSTIVE, 0,
             (f"{why}; took the exhaustive integer argmin over [{lo}, {hi}]",),
         )
-    x_ul, x_dl, _ = points.get(n_ul) or _point(cfg, dom.eta, channel_dl, n_ul)
+    # reported on the math backend, whose bits the golden fixtures pin
+    x_ul, x_dl = _point(cfg, dom.eta, channel_dl, n_ul)
     eps_ul, eps_dl = q_function(x_ul), q_function(x_dl)
     return SolveResult(
         n_ul_cont=cont.n_ul,

@@ -26,6 +26,8 @@ from clfbl import (
 )
 from clfbl.energy import Infeasible
 from clfbl.derivatives import _cl_log_eps
+from clfbl.fbl import _channel
+from clfbl.optimizer import _log_cl, _point
 from clfbl.validation import derivative_fidelity_suite
 
 from conftest import make_config
@@ -56,6 +58,11 @@ _DL_CROSSING_148 = dict(
     E=5.324123017505121e-06, p_dl=7.301121389520324e-07,
     N=3.836757395722406e-05, n_max=2790.1540691889904,
     g_ul=0.017082204736932033, g_dl=6.78037017223046, B=0.34242736139066077)
+# floor 41021 and ceil 41022 of n_ul_cont lie 4.09e-8 apart in log eps_cl
+# (at -37,057.9), a near-tie on a long frame
+_NEAR_TIE_266 = dict(
+    d=266.0, f_s=250e3, M=1.0, E=1.9025588379095362e-06, p_dl=0.04056211279221783,
+    N=4.359457939201868e-06, n_max=105913.0)
 
 
 class TestOptimizeContinuous:
@@ -137,17 +144,14 @@ class TestRefineInteger:
     def test_exact_tie_takes_the_floor(self, monkeypatch):
         # with floor and ceil of n_ul_cont tied exactly, solve takes the
         # smaller, as grid_search_oracle does; untied, this config takes
-        # the ceil (n_ul_cont = 83.598).  The tie is made on both backends:
-        # the plain-float ranking sees it and leaves the choice to the
-        # oracle's array argmin, which takes the floor.
+        # the ceil (n_ul_cont = 83.598).  Patching log Q in the optimizer
+        # makes the tie: the ranking's key reads nothing else.
         cfg = make_config(N=1e-3)
         result = solve(cfg)
         floor = math.floor(result.n_ul_cont)
         assert result.case is OptimizerCase.INTERIOR_ROOT
         assert result.n_ul == floor + 1
         monkeypatch.setattr(clfbl.optimizer, "_log_eps_of", lambda x: 0.0)
-        monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps",
-                            lambda cfg, n_ul: np.zeros_like(n_ul))
         assert solve(cfg).n_ul == floor
 
     def test_empty_integer_range(self):
@@ -348,16 +352,26 @@ def _seeded_configs(seed: int, count: int):
 
 class TestCandidateStep:
     def test_array_evaluation_is_bitwise_scalar(self, table1):
-        configs = [table1, *_seeded_configs(3, 20)]
-        for cfg in configs:
+        # the oracle's array, loop_log_error and solve's ranking key give
+        # the same bits, so the key ranks floor and ceil as the oracle does
+        # with no error window: a numpy that rounded a scalar otherwise
+        # than an array element fails here, naming the config
+        cases = [(SystemConfig(**_NEAR_TIE_266), np.arange(41000.0, 41101.0))]
+        for cfg in [table1, *_seeded_configs(3, 20)]:
             dom = feasible_domain(cfg)
-            points = np.concatenate([
+            cases.append((cfg, np.concatenate([
                 np.arange(math.ceil(dom.n_lo), math.floor(dom.n_hi) + 1, dtype=float),
                 np.linspace(dom.n_lo, dom.n_hi, 37),
-            ])
+            ])))
+        for cfg, points in cases:
+            eta = feasible_domain(cfg).eta
+            channel_np = _channel(cfg.p_dl * cfg.g_dl / cfg.N, cfg.B, np)
             array = [v.hex() for v in _cl_log_eps(cfg, points).tolist()]
             scalar = [loop_log_error(cfg, n).hex() for n in points.tolist()]
+            key = [float(_log_cl(*_point(cfg, eta, channel_np, n, np))).hex()
+                   for n in points.tolist()]
             assert array == scalar, cfg
+            assert array == key, cfg
 
     def test_seeded_configs_equal_oracle(self):
         # the first config is one where the continuous optimum's
@@ -437,11 +451,11 @@ class TestGoldenFixture:
 
 class TestNoArrayRoundTrip:
     def test_solve_without_the_array_argmin(self, table1, monkeypatch):
-        # the floor/ceil step ranks in plain floats and the error rates come
-        # from its decoding arguments, so solve reaches neither the oracle's
-        # argmin nor its array kernel where floor and ceil are not near a tie;
-        # where the bracket is cut at the downlink threshold, the "eps_cl at
-        # most 1/2" check reads the ranking's plain-float log eps_cl too
+        # the floor/ceil step ranks by a key on numpy scalars and the error
+        # rates come from the math backend, so outside EXHAUSTIVE solve
+        # reaches neither the oracle nor its array kernel, near-ties on
+        # long frames included; where the bracket is cut at the downlink
+        # threshold, the "eps_cl at most 1/2" check reads the same key
         encode = _load_golden_module().encode
         crossing = [SystemConfig(**values) for values in (_DL_CROSSING_71, _DL_CROSSING_148)]
         for cfg in crossing:
@@ -453,6 +467,10 @@ class TestNoArrayRoundTrip:
         assert result.case is OptimizerCase.INTERIOR_ROOT
         assert math.floor(result.n_ul_cont) != math.ceil(result.n_ul_cont)
         expected = encode(result)
+        near_tie = SystemConfig(**_NEAR_TIE_266)
+        near_tied = solve(near_tie)
+        assert (near_tied.n_ul_cont, near_tied.n_ul) == (41021.510815411995, 41022)
+        near_tie_expected = encode(near_tied)
         cases = [
             next((cfg, case) for cfg, case in _golden_cases()
                  if case["result"].get("case") == name)
@@ -462,10 +480,10 @@ class TestNoArrayRoundTrip:
         def array_round_trip(*args):
             raise AssertionError("solve took the array argmin")
 
-        monkeypatch.setattr(clfbl.optimizer, "_argmin", array_round_trip)
         monkeypatch.setattr(clfbl.optimizer, "_cl_log_eps", array_round_trip)
         monkeypatch.setattr(clfbl.derivatives, "_cl_log_eps", array_round_trip)
         assert encode(solve(table1)) == expected
+        assert encode(solve(near_tie)) == near_tie_expected
         for cfg, case in cases:
             assert encode(solve(cfg)) == case["result"], cfg
         assert [solve(cfg) for cfg in crossing] == crossed
@@ -495,18 +513,20 @@ def test_solver_equals_oracle(d, M, log_E, log_N, log_snr_dl, n_max):
 
 
 def _assert_choice_is_argmin(cfg) -> None:
-    """solve's n_ul is _argmin over the integers it chose among: the floor
-    and ceil of n_ul_cont clamped into the integer domain, or the whole
-    domain where it took the exhaustive argmin."""
+    """solve's n_ul is the oracle's over the integers it chose among: the
+    floor and ceil of n_ul_cont clamped into the integer domain, or the
+    whole domain where it took the exhaustive argmin."""
     result = solve(cfg)
-    bounds = clfbl.optimizer._integer_range(feasible_domain(cfg))
+    dom = feasible_domain(cfg)
+    bounds = clfbl.optimizer._integer_range(dom)
     assert isinstance(result, Infeasible) == isinstance(bounds, Infeasible)
     if isinstance(result, Infeasible):
         return
     lo, hi = bounds
     if result.case is not OptimizerCase.EXHAUSTIVE:
         lo, hi = max(math.floor(result.n_ul_cont), lo), min(math.ceil(result.n_ul_cont), hi)
-    assert result.n_ul == clfbl.optimizer._argmin(cfg, lo, hi), cfg
+    chosen = dataclasses.replace(dom, n_lo=lo, n_hi=hi)
+    assert result.n_ul == grid_search_oracle(cfg, chosen), cfg
 
 
 @settings(deadline=None, max_examples=150, derandomize=True)
@@ -519,7 +539,7 @@ def _assert_choice_is_argmin(cfg) -> None:
     n_max=st.integers(100, 5000),
 )
 def test_floor_ceil_choice_equals_argmin(d, M, log_E, log_N, log_snr_dl, n_max):
-    # the plain-float ranking picks what the oracle's array argmin picks;
+    # the ranking's key picks what the oracle's array argmin picks;
     # p_dl > N, p_dl < N and p_dl = N alike
     N = 10.0**log_N
     p_dl = N * 10.0**log_snr_dl
