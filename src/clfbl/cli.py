@@ -31,11 +31,16 @@ Summary CSV header::
 Floats are serialized with 17 significant digits (lossless for doubles)
 and rows are ordered by (noise_w, n_ul); reruns with the same scenario
 are byte-identical.
+
+:func:`build_parser` builds the argparse tree once per process and
+:func:`main` reuses it: ``parse_args`` only reads the parser, so an
+in-process caller that runs many commands does not rebuild it per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -227,7 +232,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse tree, built once per process and shared by every
+    caller; do not add arguments to it."""
     parser = argparse.ArgumentParser(
         prog="clfbl",
         description=(
@@ -285,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, _CliError, ValueError) as exc:

@@ -53,7 +53,9 @@ def derivative_fidelity_suite(cfg: SystemConfig) -> SuiteResult:
     domain grid, separately for the uplink and downlink terms.  The
     analytic side is the array derivative kernel the scan reads: one link
     evaluation over the grid, then one finite-difference pass over the
-    well-conditioned points of each link.
+    well-conditioned points of each link.  Where neither link has such a
+    point the suite is skipped straight after the link evaluation, before
+    any finite difference or analytic derivative is computed.
     """
     dom = feasible_domain(cfg)
     if dom.empty:
@@ -65,6 +67,11 @@ def derivative_fidelity_suite(cfg: SystemConfig) -> SuiteResult:
     dl = da._dl_link(cfg, grid)
     ok_ul = np.abs(ul.x) <= WELL_CONDITIONED_X
     ok_dl = np.abs(dl.x) <= WELL_CONDITIONED_X
+    if not (ok_ul.any() or ok_dl.any()):
+        return SuiteResult(
+            "derivative_fidelity", "skipped",
+            "no well-conditioned grid points (|x| <= 8) in this scenario",
+        )
     n_ul, n_dl = grid[ok_ul], grid[ok_dl]
     # the uplink stencil stays below n_max even at the right edge; a step
     # scaled to n_ul would span ~10% of a short downlink
@@ -77,11 +84,6 @@ def derivative_fidelity_suite(cfg: SystemConfig) -> SuiteResult:
         [da._ul_d_eps(cfg, ul)[0][ok_ul], da._dl_d_eps(cfg, dl)[0][ok_dl]]
     )
     checked = fd.size
-    if checked == 0:
-        return SuiteResult(
-            "derivative_fidelity", "skipped",
-            "no well-conditioned grid points (|x| <= 8) in this scenario",
-        )
     worst = float(np.max(np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))))
     status = "pass" if worst <= FD_RELATIVE_TOL else "fail"
     return SuiteResult(

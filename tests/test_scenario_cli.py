@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import clfbl.cli
 import clfbl.derivatives
 from clfbl.cli import (
     EXIT_INFEASIBLE,
@@ -16,6 +17,7 @@ from clfbl.cli import (
     EXIT_VALIDATION,
     GRID_HEADER,
     SUMMARY_HEADER,
+    build_parser,
     grid_columns,
     main,
 )
@@ -27,7 +29,7 @@ from clfbl.scenario import (
     load_scenario,
     parse_scenario,
 )
-from clfbl.validation import run_validation
+from clfbl.validation import derivative_fidelity_suite, run_validation
 
 GOLDEN_DIR = Path(__file__).with_name("data")
 
@@ -271,6 +273,61 @@ class TestValidateCommand:
         assert code == EXIT_OK
         assert out.count("SKIP") == 5
         assert "infeasible" in out
+
+
+#: one process's calls: a run, another command, a usage error caught by
+#: ``main``, two that argparse ends with SystemExit, and the first run again
+_PARSER_REUSE_ARGV = (
+    ["validate", "table1", "--trials", "10"],
+    ["solve", "table1"],
+    ["validate", "table1", "--trials", "0"],
+    ["validate", "table1", "--trials", "abc"],
+    ["validate", "--help"],
+    ["validate", "table1", "--trials", "10"],
+)
+
+
+def _call(argv, capsys):
+    """Exit code, stdout and stderr of one in-process CLI call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_one(self, capsys, monkeypatch):
+        reused = [_call(argv, capsys) for argv in _PARSER_REUSE_ARGV]
+        assert [r[0] for r in reused] == [
+            EXIT_OK, EXIT_OK, EXIT_USAGE, ("SystemExit", 2), ("SystemExit", 0), EXIT_OK
+        ]
+        assert reused[0] == reused[-1]
+        # main looks build_parser up at call time: each call builds a new tree
+        monkeypatch.setattr(clfbl.cli, "build_parser", build_parser.__wrapped__)
+        fresh = [_call(argv, capsys) for argv in _PARSER_REUSE_ARGV]
+        assert reused == fresh
+
+
+class TestDerivativeFidelitySkip:
+    def test_skips_before_any_derivative(self, table1, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no derivative is needed without a checked point")
+
+        monkeypatch.setattr(clfbl.derivatives, "fd_derivative", refuse)
+        monkeypatch.setattr(clfbl.derivatives, "_ul_d_eps", refuse)
+        result = derivative_fidelity_suite(dataclasses.replace(table1, N=1e-6))
+        assert (result.status, result.detail) == (
+            "skipped", "no well-conditioned grid points (|x| <= 8) in this scenario"
+        )
+        monkeypatch.undo()
+        result = derivative_fidelity_suite(dataclasses.replace(table1, N=3.903e-3))
+        assert result.status == "pass"
+        assert "over 101 checks" in result.detail
 
 
 def _table1_scenario(directory, name: str, **changes) -> str:

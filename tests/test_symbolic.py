@@ -67,6 +67,28 @@ class TestClosedForms:
         assert _is_zero(bracket - (d + capacity * n) / (2 * BETA * V * n))
 
 
+class TestBudgetMonotonicity:
+    """At a fixed split, x rises with the SNR and with the blocklength, so
+    more energy (gamma_ul = eta/n_ul) or a longer frame (n_dl = n_max -
+    n_ul) never raises an error rate; see the README's model section."""
+
+    def test_x_rises_with_snr(self):
+        # dx/dgamma = positive factor * (n*B*[(g^2+2g) - ln(1+g)]/ln 2 + d)
+        bracket = gamma**2 + 2 * gamma - sp.log(1 + gamma)
+        key = n * B * bracket / sp.log(2) + d
+        factor = sp.log(2) / (sp.sqrt(n) * (gamma**2 + 2 * gamma) ** sp.Rational(3, 2))
+        assert _is_zero(sp.diff(X, gamma) / key - factor)
+        assert factor.is_positive
+        # the bracket is 0 at gamma = 0 and rises: the key is positive
+        assert bracket.subs(gamma, 0) == 0
+        assert sp.factor(sp.diff(bracket, gamma)).is_positive
+
+    def test_x_rises_with_blocklength(self):
+        capacity = sp.Symbol("C", positive=True)
+        slope = sp.diff((n * capacity - d) / sp.sqrt(n), n)
+        assert _is_zero(slope - (n * capacity + d) / (2 * n ** sp.Rational(3, 2)))
+
+
 #: sympy's dx/dn as functions of (n, eta, d, B) and (n, gamma, d, B), each
 #: evaluated in 50-digit arithmetic
 _UL_SLOPE = sp.lambdify((n, eta, d, B), sp.diff(X.subs(UL), n) / sp.log(2), "mpmath")
