@@ -14,7 +14,6 @@ from .energy import (
     Infeasible,
     UpperBound,
     feasible_domain,
-    snr_blocklength_product,
     ul_power_of_blocklength,
 )
 from .derivatives import (
@@ -52,7 +51,6 @@ __all__ = [
     "Infeasible",
     "UpperBound",
     "feasible_domain",
-    "snr_blocklength_product",
     "ul_power_of_blocklength",
     "ScanReport",
     "convexity_scan",

@@ -28,16 +28,17 @@ exceeds the downlink's, zero where the two finite log-magnitudes tie,
 and positive otherwise.  ``_sign_kernel`` applies that rule in plain
 floats and ``_cl_sign`` applies it to arrays.
 
-Each formula is written once, for plain floats and arrays alike: the link
-quantities (``fbl._channel`` per SNR, then ``fbl._code`` per blocklength,
-backend ``math`` or ``numpy``), the slope factors, and the derivative
-log-magnitudes ``_ul_log_d_eps`` and ``_dl_log_d_eps`` (``math.log`` or
-``np.log``).  The array kernels ``_ul_d_eps`` and ``_dl_d_eps`` feed the
-scan, the validation suite and ``d_eps_cl_dn``; the solver's per-config
-sign kernel ``_sign_kernel`` (``d_eps_cl_sign`` is that kernel at one
-checked point) stays on ``math``, whose log1p the golden fixtures pin.
-The scan and ``fd_derivative`` share one Richardson stencil,
-``_richardson``.
+Each formula is written once, for plain floats and arrays alike: the
+SNRs (``SystemConfig.eta`` and ``.gamma_dl``, read of a config or of a
+sweep block's ``_Levels``), the link quantities (``fbl._channel`` per
+SNR, then ``fbl._code`` per blocklength, backend ``math`` or ``numpy``),
+the slope factors, and the derivative log-magnitudes ``_ul_log_d_eps``
+and ``_dl_log_d_eps`` (``math.log`` or ``np.log``).  The array kernels
+``_ul_d_eps`` and ``_dl_d_eps`` feed the scan, the validation suite and
+``d_eps_cl_dn``; the solver's per-config sign kernel ``_sign_kernel``
+(``d_eps_cl_sign`` is that kernel at one checked point) stays on
+``math``, whose log1p the golden fixtures pin.  The scan and
+``fd_derivative`` share one Richardson stencil, ``_richardson``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .fbl import SystemConfig, _channel, _code, _eps_of, _log_eps_of
-from .energy import DomainBounds, Infeasible, feasible_domain, snr_blocklength_product
+from .energy import DomainBounds, Infeasible, feasible_domain
 
 _LN2 = math.log(2.0)
 # log of the prefactor of |phi| = (ln 2)/sqrt(2*pi) * exp(-x^2/2)
@@ -87,46 +88,39 @@ class _LinkColumns(NamedTuple):
     x: np.ndarray
 
 
-class _Noise(NamedTuple):
-    """The noise-dependent link inputs: eta = gamma_ul*n_ul and the downlink
-    SNR gamma_dl = p_dl*g_dl/N.  Floats for one config, or (levels, 1)
-    columns of those floats."""
+class _Levels(NamedTuple):
+    """The inputs the link kernels read of a config, for a block of sweep
+    levels: d, B and n_max shared, and the two SNRs as (levels, 1) columns
+    of ``SystemConfig.eta`` and ``.gamma_dl``."""
 
-    eta: float | np.ndarray
-    gamma_dl: float | np.ndarray
-
-
-def _noise(cfg: SystemConfig) -> _Noise:
-    return _Noise(snr_blocklength_product(cfg), cfg.p_dl * cfg.g_dl / cfg.N)
-
-
-def _noise_columns(cfgs: Sequence[SystemConfig]) -> _Noise:
-    return _Noise(*(np.array(column)[:, None] for column in zip(*map(_noise, cfgs))))
+    d: float
+    B: float
+    n_max: float
+    eta: np.ndarray
+    gamma_dl: np.ndarray
 
 
-def _ul_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
-    gamma = (snr_blocklength_product(cfg) if noise is None else noise.eta) / n_ul
+def _ul_link(cfg: SystemConfig | _Levels, n_ul) -> _LinkColumns:
+    gamma = cfg.eta / n_ul
     cap, disp = _channel(gamma, cfg.B, np)
     return _LinkColumns(n_ul, gamma, cap, disp, *_code(n_ul, cap, disp, cfg.d, np))
 
 
-def _dl_link(cfg: SystemConfig, n_ul, noise: _Noise | None = None) -> _LinkColumns:
+def _dl_link(cfg: SystemConfig | _Levels, n_ul) -> _LinkColumns:
     n_dl = cfg.n_max - n_ul
     if np.any(n_dl <= 0.0):
         raise ValueError(
             f"downlink blocklength must stay positive, got n_ul={n_ul!r} "
             f"with n_max={cfg.n_max!r}"
         )
-    gamma = (_noise(cfg) if noise is None else noise).gamma_dl
+    gamma = cfg.gamma_dl
     cap, disp = _channel(gamma, cfg.B, np)
     return _LinkColumns(n_dl, gamma, cap, disp, *_code(n_dl, cap, disp, cfg.d, np))
 
 
-def _cl_log_eps(cfg: SystemConfig, n_ul, noise: _Noise | None = None):
-    return np.logaddexp(
-        _log_eps_of(_ul_link(cfg, n_ul, noise).x),
-        _log_eps_of(_dl_link(cfg, n_ul, noise).x),
-    )
+def _cl_log_eps(cfg: SystemConfig | _Levels, n_ul):
+    ul, dl = _ul_link(cfg, n_ul), _dl_link(cfg, n_ul)
+    return np.logaddexp(_log_eps_of(ul.x), _log_eps_of(dl.x))
 
 
 def _ul_eps(cfg: SystemConfig, n_ul):
@@ -146,7 +140,7 @@ def _phi(x):
     return -(_LN2 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
 
 
-def _ul_slope_factor(cfg: SystemConfig, n, g, V, b, w):
+def _ul_slope_factor(cfg: SystemConfig | _Levels, n, g, V, b, w):
     """beta*omega' + omega*beta' of the uplink, so that d eps = phi * factor.
 
     Takes n, gamma, V, beta and omega as plain floats or arrays.
@@ -158,7 +152,7 @@ def _ul_slope_factor(cfg: SystemConfig, n, g, V, b, w):
     return b * omega_p + w * beta_p
 
 
-def _dl_slope_factor(cfg: SystemConfig, n, V, b, w):
+def _dl_slope_factor(cfg: SystemConfig | _Levels, n, V, b, w):
     """beta*d/n_dl^2 + omega/(2*beta*V) of the downlink (positive bracket)."""
     return b * cfg.d / n**2 + w / (2.0 * b * V)
 
@@ -169,14 +163,14 @@ def _ul_log_d_eps(x, factor, log):
     return _LOG_PHI_COEFF - 0.5 * x * x + log(abs(factor))
 
 
-def _dl_log_d_eps(cfg: SystemConfig, n, cap, V, b, x, log):
+def _dl_log_d_eps(cfg: SystemConfig | _Levels, n, cap, V, b, x, log):
     """log(d eps_dl/d n_ul) at n_dl = n, with the backend's ``log``; the
     bracket takes its positive form (d + C*n_dl)/(2*beta*V*n_dl)."""
     bracket = log(cfg.d + cap * n) - log(2.0 * b * V * n)
     return _LOG_PHI_COEFF - 0.5 * x * x + bracket
 
 
-def _ul_d_eps(cfg: SystemConfig, ul: _LinkColumns):
+def _ul_d_eps(cfg: SystemConfig | _Levels, ul: _LinkColumns):
     """(d eps_ul/d n_ul, its exact sign, log|value|) over uplink columns;
     phi < 0, so the sign is opposite to the slope factor's."""
     factor = _ul_slope_factor(cfg, ul.n, ul.gamma, ul.dispersion, ul.beta, ul.omega)
@@ -186,7 +180,7 @@ def _ul_d_eps(cfg: SystemConfig, ul: _LinkColumns):
     return _phi(ul.x) * factor, sign, log_mag
 
 
-def _dl_d_eps(cfg: SystemConfig, dl: _LinkColumns):
+def _dl_d_eps(cfg: SystemConfig | _Levels, dl: _LinkColumns):
     """(d eps_dl/d n_ul, log|value|) over downlink columns; the sign is +1."""
     value = -_phi(dl.x) * _dl_slope_factor(cfg, dl.n, dl.dispersion, dl.beta, dl.omega)
     log_mag = _dl_log_d_eps(cfg, dl.n, dl.capacity, dl.dispersion, dl.beta, dl.x, np.log)
@@ -219,8 +213,8 @@ def _sign_kernel(cfg: SystemConfig) -> Callable[[float], int]:
     no erfc, and applies the sign rule of the module docstring.
     Unchecked: n_ul must lie in [d, n_max - d].
     """
-    eta, d, B, n_max = snr_blocklength_product(cfg), cfg.d, cfg.B, cfg.n_max
-    cap_dl, V_dl = _channel(cfg.p_dl * cfg.g_dl / cfg.N, B)
+    eta, d, B, n_max = cfg.eta, cfg.d, cfg.B, cfg.n_max
+    cap_dl, V_dl = _channel(cfg.gamma_dl, B)
     log = math.log
 
     def sign(n_ul: float) -> int:
@@ -261,7 +255,7 @@ def _cl_sign(sign_ul, log_ul, log_dl) -> np.ndarray:
 # finite differences (independent oracle)
 # ---------------------------------------------------------------------------
 
-def _fd_step(cfg: SystemConfig, n_ul):
+def _fd_step(cfg: SystemConfig | _Levels, n_ul):
     """Finite-difference step at n_ul: max(1e-4, 1e-3*n_ul), shrunk near
     n_max so that a stencil of +-2 steps keeps n_dl > 0."""
     return np.minimum(np.maximum(1e-4, 1e-3 * n_ul), (cfg.n_max - n_ul) / 4.0)
@@ -336,7 +330,13 @@ class ScanReport:
 
     @property
     def ul_upturn(self) -> np.ndarray:
-        """Grid intervals on which eps_ul increases."""
+        """Grid intervals on which eps_ul increases.
+
+        Can legitimately be set: once eta exceeds roughly
+        4*ln2*d/(6 - 8*ln2), the uplink error rate itself turns upward
+        before the 0 dB bound (spreading the energy budget ever thinner
+        stops paying off), so eps_ul is not monotone on the full domain.
+        """
         return np.diff(self.log_eps_ul) > 0.0
 
     @property
@@ -346,33 +346,13 @@ class ScanReport:
 
     @property
     def cl_not_convex(self) -> np.ndarray:
-        """Unsaturated grid points whose convexity indicator is not > 0."""
+        """Unsaturated grid points whose convexity indicator is not > 0.
+
+        Genuinely set where a link is at or below its capacity threshold
+        (eps >= 0.5, in the concave Q tail); ``solve`` tests that regime
+        up front and takes the exhaustive integer argmin there.
+        """
         return ~(self.convexity_indicator > 0.0) & ~self.saturated
-
-    @property
-    def ul_monotone_ok(self) -> bool:
-        """No grid interval on which eps_ul increases.
-
-        Note this can legitimately be False: once eta exceeds roughly
-        4*ln2*d/(6 - 8*ln2), the uplink error rate itself turns upward
-        before the 0 dB bound (spreading the energy budget ever thinner
-        stops paying off), so eps_ul is not monotone on the full domain.
-        """
-        return not self.ul_upturn.any()
-
-    @property
-    def dl_monotone_ok(self) -> bool:
-        return not self.dl_not_increasing.any()
-
-    @property
-    def convex_ok(self) -> bool:
-        """No measurable loss of convexity.
-
-        Genuinely False where a link is at or below its capacity
-        threshold (eps >= 0.5, in the concave Q tail); ``solve`` tests
-        that regime up front and takes the exhaustive integer argmin there.
-        """
-        return not self.cl_not_convex.any()
 
 
 #: a five-point stencil of log eps_cl spanning less than this is treated
@@ -381,9 +361,7 @@ class ScanReport:
 _STENCIL_FLOOR = 1e-12
 
 
-def scan_columns(
-    cfg: SystemConfig, points: np.ndarray, noise: _Noise | None = None
-) -> ScanReport:
+def scan_columns(cfg: SystemConfig | _Levels, points: np.ndarray) -> ScanReport:
     """Evaluate every scan column at the given blocklengths.
 
     One array evaluation over all points, with no per-point Python loop:
@@ -393,23 +371,22 @@ def scan_columns(
     ``_dl_d_eps``, with its exact log-space sign.  That sign equals
     :func:`d_eps_cl_sign` at every point.
 
-    ``points`` is 1-D at cfg's own noise, or a (levels, points) grid with
-    ``noise`` as (levels, 1) columns of configs sharing cfg's d, B and
-    n_max.  Every operation is elementwise, so each row, and each single
-    point recomputed, equals a one-level call bit for bit.
+    ``points`` is 1-D for a config, or a (levels, points) grid for the
+    ``_Levels`` of configs that share d, B and n_max.  Every operation is
+    elementwise, so each row, and each single point recomputed, equals a
+    one-level call bit for bit.
     """
     grid = np.asarray(points, dtype=float)
-    ul = _ul_link(cfg, grid, noise)
-    dl = _dl_link(cfg, grid, noise)
+    ul = _ul_link(cfg, grid)
+    dl = _dl_link(cfg, grid)
     log_ul, log_dl = _log_eps_of(ul.x), _log_eps_of(dl.x)
     log_cl = np.logaddexp(log_ul, log_dl)
     eps_ul, eps_dl = _eps_of(ul.x), _eps_of(dl.x)
 
     # Richardson-extrapolated central differences of log eps_cl
     h = _fd_step(cfg, grid)
-    f_p1, f_m1 = _cl_log_eps(cfg, grid + h, noise), _cl_log_eps(cfg, grid - h, noise)
-    f_p2 = _cl_log_eps(cfg, grid + 2.0 * h, noise)
-    f_m2 = _cl_log_eps(cfg, grid - 2.0 * h, noise)
+    f_p1, f_m1 = _cl_log_eps(cfg, grid + h), _cl_log_eps(cfg, grid - h)
+    f_p2, f_m2 = _cl_log_eps(cfg, grid + 2.0 * h), _cl_log_eps(cfg, grid - 2.0 * h)
     g1, g2 = _richardson(f_m2, f_m1, log_cl, f_p1, f_p2, h)
     indicator = g2 + g1**2
     stencil = np.stack([f_m2, f_m1, log_cl, f_p1, f_p2])
@@ -457,10 +434,10 @@ def scan_levels(
 ) -> list[ScanReport | Infeasible]:
     """:func:`convexity_scan` of each config, in blocked array passes.
 
-    The configs may differ in any field that enters only through eta or
-    the downlink SNR (the noise levels of a sweep); d, B and n_max must
-    be shared.  Levels with an empty domain get their Infeasible marker;
-    the others are scanned in blocks of whole levels, each block one
+    The configs may differ in any field that enters only through the
+    SNRs (the noise levels of a sweep); d, B and n_max must be shared.
+    Levels with an empty domain get their Infeasible marker; the others
+    are scanned in blocks of whole levels, each block one
     :func:`scan_columns` call over a (levels, grid_points) grid.
     """
     if grid_points < 1:
@@ -494,7 +471,9 @@ def _scan_block(
     grid = np.arange(grid_points) * ((n_hi - n_lo) / max(grid_points - 1, 1)) + n_lo
     if grid_points > 1:
         grid[:, -1:] = n_hi
-    cols = scan_columns(cfgs[0], grid, _noise_columns(cfgs))
+    eta = np.array([c.eta for c in cfgs])[:, None]
+    gamma_dl = np.array([c.gamma_dl for c in cfgs])[:, None]
+    cols = scan_columns(_Levels(cfgs[0].d, cfgs[0].B, cfgs[0].n_max, eta, gamma_dl), grid)
     return [
         ScanReport(*[getattr(cols, f.name)[row] for f in fields(ScanReport)])
         for row in range(len(cfgs))

@@ -3,8 +3,9 @@
 Spending the full uplink energy budget E over an n_ul-bit codeword fixes
 the power at p_ul = E*M*f_s/n_ul, which makes gamma_ul*n_ul a constant:
 
-    eta = E*M*f_s*g_ul / N.
+    eta = E*M*f_s*g_ul / N,
 
+which is ``SystemConfig.eta``, as the downlink SNR is ``.gamma_dl``.
 Keeping the uplink at or above 0 dB (gamma_ul >= 1) is then equivalent
 to n_ul <= eta, which combines with the shared latency budget and a
 small-blocklength floor into the interval on which the loop error rate
@@ -45,11 +46,6 @@ class Infeasible:
     domain: DomainBounds | None = None
 
 
-def snr_blocklength_product(cfg: SystemConfig) -> float:
-    """The constant eta = gamma_ul*n_ul = E*M*f_s*g_ul/N."""
-    return cfg.E * cfg.M * cfg.f_s * cfg.g_ul / cfg.N
-
-
 def ul_power_of_blocklength(cfg: SystemConfig, n_ul: float) -> float:
     """Uplink power E*M*f_s/n_ul; satisfies n_ul*p/(M*f_s) = E."""
     if n_ul <= 0.0:
@@ -66,7 +62,7 @@ def feasible_domain(cfg: SystemConfig) -> DomainBounds:
     the ``empty`` flag rather than raised, so sweeps can record it per
     grid point.
     """
-    eta = snr_blocklength_product(cfg)
+    eta = cfg.eta
     n_lo = max(9.0, cfg.d)
     n_hi = min(eta, cfg.n_max - cfg.d)
     binding = UpperBound.SNR_BOUND if n_hi == eta else UpperBound.BLOCKLENGTH_BOUND

@@ -118,14 +118,13 @@ class SystemConfig:
             value = getattr(self, name)
             if value <= 0.0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
-        gamma_dl = self.p_dl * self.g_dl / self.N
+        eta, gamma_dl = self.eta, self.gamma_dl
         if 1.0 + gamma_dl == 1.0:
             raise ValueError(
                 f"downlink SNR p_dl*g_dl/N with p_dl={self.p_dl!r}, g_dl={self.g_dl!r}, "
                 f"N={self.N!r} is below double precision (1 + SNR == 1), which "
                 "leaves the channel dispersion at zero"
             )
-        eta = self.E * self.M * self.f_s * self.g_ul / self.N
         for snr_name, keys, value in (
             ("uplink SNR eta/d = E*M*f_s*g_ul/(N*d)", "E M f_s g_ul N d", eta / self.d),
             ("downlink SNR p_dl*g_dl/N", "p_dl g_dl N", gamma_dl),
@@ -145,6 +144,16 @@ class SystemConfig:
                     f"inconsistent frame length: f_s*M*T={implied!r} but "
                     f"n_max={self.n_max!r}"
                 )
+
+    @property
+    def eta(self) -> float:
+        """The uplink's SNR-blocklength product gamma_ul*n_ul = E*M*f_s*g_ul/N."""
+        return self.E * self.M * self.f_s * self.g_ul / self.N
+
+    @property
+    def gamma_dl(self) -> float:
+        """The downlink SNR p_dl*g_dl/N."""
+        return self.p_dl * self.g_dl / self.N
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,7 @@ def solve(cfg: SystemConfig) -> SolveResult | Infeasible:
     if isinstance(bounds, Infeasible):
         return bounds
     lo, hi = bounds
-    gamma_dl = cfg.p_dl * cfg.g_dl / cfg.N
+    gamma_dl = cfg.gamma_dl
     channel_dl = _channel(gamma_dl, cfg.B)
     # x has the sign of n*C - d: the uplink's is smallest at n_lo, and the
     # downlink's is positive only below n_ul = n_max - d/C_dl

@@ -104,19 +104,6 @@ def convexity_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
     """
     if isinstance(scan, Infeasible):
         return SuiteResult("convexity_scan", "skipped", f"infeasible: {scan.reason}")
-    if scan.convex_ok and scan.dl_monotone_ok:
-        worst = float(np.min(scan.convexity_indicator))
-        ul_note = (
-            ""
-            if scan.ul_monotone_ok
-            else f"; eps_ul turns upward on {np.count_nonzero(scan.ul_upturn)} "
-            "grid intervals near the 0 dB bound (expected for this eta)"
-        )
-        return SuiteResult(
-            "convexity_scan", "pass",
-            f"eps_cl convex and eps_dl strictly increasing on {len(scan.n_ul)} "
-            f"points (smallest convexity indicator {worst:.3e}){ul_note}",
-        )
     hard = (
         ("cl_second_derivative_not_positive", scan.cl_not_convex, scan.n_ul,
          scan.convexity_indicator),
@@ -124,6 +111,18 @@ def convexity_suite(scan: da.ScanReport | Infeasible) -> SuiteResult:
          np.diff(scan.log_eps_dl)),
     )
     count = sum(np.count_nonzero(mask) for _, mask, _, _ in hard)
+    if not count:
+        worst = float(np.min(scan.convexity_indicator))
+        upturns = np.count_nonzero(scan.ul_upturn)
+        ul_note = (
+            f"; eps_ul turns upward on {upturns} grid intervals near the 0 dB "
+            "bound (expected for this eta)" if upturns else ""
+        )
+        return SuiteResult(
+            "convexity_scan", "pass",
+            f"eps_cl convex and eps_dl strictly increasing on {len(scan.n_ul)} "
+            f"points (smallest convexity indicator {worst:.3e}){ul_note}",
+        )
     kind, mask, n_ul, value = next(h for h in hard if h[1].any())
     first = np.argmax(mask)
     return SuiteResult(

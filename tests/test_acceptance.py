@@ -149,7 +149,7 @@ def test_criterion_2_sign_structure(table1_cfg, sweep):
         upturns += upturn
         if not ok:
             ul_bad.append(r.noise)
-    dl_bad = [r.noise for r in records if not r.scan.dl_monotone_ok]
+    dl_bad = [r.noise for r in records if r.scan.dl_not_increasing.any()]
     elapsed = build_time + time.perf_counter() - start
     ok = not ul_bad and not dl_bad and elapsed < 10.0
     _verdict(

@@ -23,7 +23,7 @@ from clfbl import (
     solve,
     sweep_noise,
 )
-from clfbl.energy import Infeasible, snr_blocklength_product
+from clfbl.energy import Infeasible
 from clfbl.derivatives import (
     _LOG_PHI_COEFF,
     _cl_sign,
@@ -131,7 +131,7 @@ class TestUplinkDerivative:
 
     def test_outside_proven_region_only_fd_agreement(self, table1):
         # slightly above eta (gamma < 1): no sign guarantee, FD still agrees
-        n = [snr_blocklength_product(table1) * 1.02]
+        n = [table1.eta * 1.02]
         fd = _fd_first(_ul_eps, table1, n)
         assert np.all(_fd_error(d_eps_ul(table1, n), fd) <= 1e-6)
 
@@ -293,7 +293,7 @@ def _sign_from_states(cfg, n):
     """The sign of d eps_cl/d n_ul restated on two validated LinkStates,
     with the slope factor and the log terms written out and summed by the
     general case analysis."""
-    eta = snr_blocklength_product(cfg)
+    eta = cfg.eta
     ul = LinkState.from_snr(n, eta / n, cfg.d, cfg.B)
     dl = LinkState.from_snr(cfg.n_max - n, cfg.p_dl * cfg.g_dl / cfg.N, cfg.d, cfg.B)
     g, V, b = ul.gamma, ul.dispersion, ul.beta
@@ -385,9 +385,9 @@ class TestDeltaTerm:
 class TestConvexityScan:
     def test_reference_scan_convex(self, table1):
         scan = convexity_scan(table1, 200)
-        assert scan.convex_ok
-        assert scan.dl_monotone_ok
-        assert not scan.ul_monotone_ok  # genuine upturn near the 0 dB bound
+        assert not scan.cl_not_convex.any()
+        assert not scan.dl_not_increasing.any()
+        assert scan.ul_upturn.any()  # genuine upturn near the 0 dB bound
         assert np.all(scan.convexity_indicator > 0.0)
 
     def test_grid_contained(self, table1):
@@ -399,7 +399,7 @@ class TestConvexityScan:
     def test_single_point_grid(self, table1):
         scan = convexity_scan(table1, 1)
         assert len(scan.n_ul) == 1
-        assert scan.dl_monotone_ok and scan.ul_monotone_ok  # vacuous
+        assert not scan.dl_not_increasing.any() and not scan.ul_upturn.any()  # vacuous
         assert scan.convexity_indicator[0] > 0.0
 
     def test_saturated_points_not_classified(self):
@@ -408,7 +408,7 @@ class TestConvexityScan:
         scan = convexity_scan(make_config(N=1e-3, p_dl=1e-7), 200)
         assert scan.saturated.all()
         assert np.any(~(scan.convexity_indicator > 0.0))
-        assert scan.convex_ok
+        assert not scan.cl_not_convex.any()
 
     def test_empty_domain_infeasible(self):
         scan = convexity_scan(make_config(N=0.1), 50)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from clfbl import (
     UpperBound,
     feasible_domain,
-    snr_blocklength_product,
     ul_power_of_blocklength,
 )
 
@@ -18,7 +17,7 @@ from conftest import make_config
 class TestCoupling:
     def test_eta_reference_value(self, table1):
         expected = 0.65e-6 * 1.0 * 250e3 * 1.0 / 3e-3
-        eta = snr_blocklength_product(table1)
+        eta = table1.eta
         assert eta == pytest.approx(expected, rel=1e-12)
         assert eta == pytest.approx(54.1667, abs=1e-3)
 
@@ -29,7 +28,7 @@ class TestCoupling:
         assert dom.eta / dom.n_hi == 1.0
 
     def test_doubling_blocklength_halves_snr(self, table1):
-        eta = snr_blocklength_product(table1)
+        eta = table1.eta
         assert eta / 40.0 == pytest.approx(2.0 * (eta / 80.0), rel=1e-15)
 
     def test_power_at_54(self, table1):
@@ -51,7 +50,7 @@ class TestCoupling:
     @given(st.floats(min_value=0.1, max_value=1e6))
     def test_constant_snr_blocklength_product(self, n):
         cfg = make_config()
-        eta = snr_blocklength_product(cfg)
+        eta = cfg.eta
         assert eta / n * n == pytest.approx(eta, rel=1e-14)
 
     def test_power_strictly_decreasing(self, table1):
@@ -103,9 +102,9 @@ class TestFeasibleDomain:
 
     def test_binding_tie_prefers_snr_bound(self):
         cfg = make_config()
-        eta = snr_blocklength_product(cfg)
+        eta = cfg.eta
         # scale noise so eta equals n_max - d exactly up to rounding
         cfg2 = make_config(N=cfg.N * eta / (cfg.n_max - cfg.d))
         dom = feasible_domain(cfg2)
-        if snr_blocklength_product(cfg2) <= cfg2.n_max - cfg2.d:
+        if cfg2.eta <= cfg2.n_max - cfg2.d:
             assert dom.binding_hi is UpperBound.SNR_BOUND

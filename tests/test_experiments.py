@@ -52,7 +52,7 @@ class TestCaseStudy:
         assert record.domain.binding_hi is UpperBound.SNR_BOUND
         assert record.domain.n_hi == pytest.approx(54.1667, abs=1e-3)
         assert record.domain.n_hi < table1.n_max - table1.d
-        assert record.scan.convex_ok
+        assert not record.scan.cl_not_convex.any()
         for n_ul in record.scan.n_ul.tolist():
             assert record.domain.n_lo <= n_ul <= record.domain.n_hi
 
@@ -83,8 +83,8 @@ class TestNoiseSweep:
     def test_sweep_convex_everywhere(self, table1):
         records = sweep_noise(table1, 25, grid_points=60)
         for record in records:
-            assert record.scan.convex_ok, f"violation at N={record.noise}"
-            assert record.scan.dl_monotone_ok
+            assert not record.scan.cl_not_convex.any(), f"violation at N={record.noise}"
+            assert not record.scan.dl_not_increasing.any()
 
     def test_both_sign_regimes_present(self, table1):
         records = sweep_noise(table1, 25, grid_points=60)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from clfbl import LinkState, loop_reliability, q_function, snr_blocklength_product
+from clfbl import LinkState, loop_reliability, q_function
 from clfbl.fbl import _channel, _log_eps_of
 
 from conftest import make_config
@@ -136,7 +136,7 @@ class TestFblErrorRate:
 
     def test_pinned_table_value(self):
         cfg = make_config()
-        gamma = snr_blocklength_product(cfg) / 54.0
+        gamma = cfg.eta / 54.0
         state = LinkState.from_snr(54.0, gamma, 8.0, 1.0)
         assert state.eps == pytest.approx(EPS_UL_AT_54, rel=1e-12)
         # second, log-domain implementation of the same quantity

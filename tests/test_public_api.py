@@ -1,5 +1,5 @@
-"""The package's public names, the one module that calls scipy, and the one
-link formula."""
+"""The package's public names, the one module that calls scipy, the one
+link formula and the one copy of each SNR."""
 
 import ast
 from pathlib import Path
@@ -48,3 +48,13 @@ def test_link_formula_has_one_copy():
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "log1p"
     ]
     assert len(calls) == 1
+
+
+def test_snr_formulas_have_one_copy():
+    # SystemConfig.eta and .gamma_dl are the two SNRs; another module that
+    # reads a channel gain would restate one of them
+    readers = {
+        name for name, tree in _module_trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("g_ul", "g_dl")
+    }
+    assert readers == {"fbl.py"}

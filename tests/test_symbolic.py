@@ -16,7 +16,7 @@ import pytest
 import sympy as sp
 
 from clfbl.derivatives import _dl_slope_factor, _ul_slope_factor
-from clfbl.energy import feasible_domain, snr_blocklength_product
+from clfbl.energy import feasible_domain
 from clfbl.fbl import _channel, _code
 
 from conftest import d_eps_dl, d_eps_ul, make_config
@@ -107,7 +107,7 @@ _CONFIGS = [
 @pytest.mark.parametrize("cfg", _CONFIGS)
 def test_slope_factors_match_symbolic_derivative(cfg):
     dom = feasible_domain(cfg)
-    eta_f = snr_blocklength_product(cfg)
+    eta_f = cfg.eta
     g_dl = cfg.p_dl * cfg.g_dl / cfg.N
     with mpmath.workdps(50):
         for n_ul in np.linspace(dom.n_lo, dom.n_hi, 25).tolist():
@@ -136,7 +136,7 @@ def _reference_derivatives(cfg, n_ul):
     """d eps_ul/d n_ul and d eps_dl/d n_ul as -Q'(x) * dx/dn in 50 digits,
     rounded to doubles; the chain rule through n_dl = n_max - n_ul flips
     the downlink sign."""
-    eta_f = snr_blocklength_product(cfg)
+    eta_f = cfg.eta
     g_dl = cfg.p_dl * cfg.g_dl / cfg.N
     n_dl = cfg.n_max - n_ul
     with mpmath.workdps(50):
