@@ -10,7 +10,8 @@ own, by the scalar bisection.  The seeded Monte Carlo simulation draws
 coins with the error rates it is given (``validate`` passes the
 solver's); what it checks is the sequential two-coin loop, an uplink
 coin and then a downlink coin only after an uplink success, against the
-closed form (1-a)(1-b).  The exhaustive integer oracle lives in
+closed form (1-a)(1-b), with one binomial draw per coin count whatever
+the number of trials.  The exhaustive integer oracle lives in
 :mod:`clfbl.optimizer`, which also answers with it where a link is not
 above its capacity threshold.
 """
@@ -92,28 +93,16 @@ class MonteCarloResult:
         return self.ci_low <= self.analytic_r_loop <= self.ci_high
 
 
-#: uniforms drawn per block where the outcome of a draw is not decided
-_CHUNK = 1 << 16
+#: largest trial count: numpy's binomial sampler takes its count as an int64
+MAX_TRIALS = 2**63 - 1
 
 
-def _successes(rng: np.random.Generator, draws: int, p: float) -> int:
-    """Count of ``rng.random(draws) < p``, leaving rng where that leaves it.
-
-    Outside 0 < p < 1 every uniform in [0, 1) decides the same way (a NaN
-    p fails all of them, as ``u < nan`` does), so the stream is advanced
-    past the draws instead: PCG64 spends one 64-bit output per double.
-    Otherwise blocks of at most ``_CHUNK`` uniforms are drawn into one
-    buffer, so memory does not grow with ``draws``.
-    """
-    if not 0.0 < p < 1.0:
-        rng.bit_generator.advance(draws)
-        return draws if p >= 1.0 else 0
-    buf = np.empty(min(draws, _CHUNK))
-    hits = 0
-    for start in range(0, draws, _CHUNK):
-        u = rng.random(out=buf[: min(_CHUNK, draws - start)])
-        hits += int(np.count_nonzero(u < p))
-    return hits
+def check_trials(trials: int) -> None:
+    """Reject a trial count outside [1, MAX_TRIALS], naming ``trials``."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= 2**63 - 1, got {trials!r}")
 
 
 def monte_carlo_validate(
@@ -125,22 +114,21 @@ def monte_carlo_validate(
 
     Each trial first draws the uplink decoding outcome; the downlink coin
     is drawn only for trials whose uplink succeeded (the product law
-    makes this equivalent to unconditional simulation).  Where a success
-    probability is 0 or 1 the draws are skipped by advancing the stream,
-    and otherwise they are counted in fixed-size blocks, so the counts
-    equal a one-shot ``rng.random(trials)`` draw from the same seed and
-    memory does not depend on ``trials``.  Returns the
-    success fraction with a 99% normal-approximation confidence interval;
-    at estimates of exactly 0 or 1, where the normal interval degenerates
-    to a point, the exact Clopper-Pearson bound is substituted.
-    Deterministic for a given seed.
+    makes this equivalent to unconditional simulation).  The coin counts
+    are drawn from their exact law, Binomial(trials, 1-eps_ul) and then
+    Binomial(uplink successes, 1-eps_dl), by numpy's binomial sampler
+    (BTPE), so time and memory do not depend on ``trials``.  The suite
+    checks the loop law and the generator, not the error model.  Returns
+    the success fraction with a 99% normal-approximation confidence
+    interval clipped to [0, 1]; at estimates of exactly 0 or 1, where the
+    normal interval degenerates to a point, the exact Clopper-Pearson
+    bound is substituted.  Deterministic for a given seed.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    check_trials(trials)
     analytic = loop_reliability(eps_ul, eps_dl)
     rng = np.random.default_rng(seed)
-    n_ul_ok = _successes(rng, trials, 1.0 - eps_ul)
-    loop_ok = _successes(rng, n_ul_ok, 1.0 - eps_dl)
+    n_ul_ok = rng.binomial(trials, 1.0 - eps_ul)
+    loop_ok = rng.binomial(n_ul_ok, 1.0 - eps_dl)
     estimate = loop_ok / trials
     if estimate == 0.0:
         ci_low, ci_high = 0.0, 1.0 - 0.005 ** (1.0 / trials)
@@ -148,7 +136,7 @@ def monte_carlo_validate(
         ci_low, ci_high = 0.005 ** (1.0 / trials), 1.0
     else:
         half = _Z99 * math.sqrt(estimate * (1.0 - estimate) / trials)
-        ci_low, ci_high = estimate - half, estimate + half
+        ci_low, ci_high = max(0.0, estimate - half), min(1.0, estimate + half)
     return MonteCarloResult(estimate, ci_low, ci_high, analytic)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import derivatives as da
 from .fbl import SystemConfig
 from .energy import Infeasible, feasible_domain
-from .experiments import monte_carlo_validate
+from .experiments import check_trials, monte_carlo_validate
 from .optimizer import OptimizerCase, SolveResult, grid_search_oracle, solve
 
 #: analytic-vs-FD comparisons only make sense while eps is far from
@@ -210,8 +210,8 @@ def run_validation(
     whether or not the domain is empty.  The scan and the solve are
     computed once and shared by the suites that read them.
     """
-    for name, value, least in (("trials", trials, 1), ("grid_points", grid_points, 1),
-                               ("seed", seed, 0)):
+    check_trials(trials)
+    for name, value, least in (("grid_points", grid_points, 1), ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value!r}")
     scan = da.convexity_scan(cfg, grid_points)

@@ -13,7 +13,8 @@ pinned:
     PYTHONPATH=src python tests/data/make_validate_golden.py
 
 It prints the index and the changed suites of every case that differs
-from the file it overwrites.
+from the file it overwrites, with the old and new status of each suite
+whose verdict moved.
 """
 
 from __future__ import annotations
@@ -73,9 +74,14 @@ def report(cfg: SystemConfig) -> list[list[str]]:
 
 
 def _changed_suites(old: dict, new: dict) -> list[str]:
-    """``config`` if the configs differ, then the name of each differing suite."""
+    """``config`` if the configs differ, then each differing suite: its
+    status change (``monte_carlo: pass -> fail``) where the verdict moved,
+    else ``monte_carlo: detail``."""
     fields = ["config"] if old["config"] != new["config"] else []
-    return fields + [b[0] for a, b in zip(old["report"], new["report"]) if a != b]
+    return fields + [
+        f"{b[0]}: {a[1]} -> {b[1]}" if a[1] != b[1] else f"{b[0]}: detail"
+        for a, b in zip(old["report"], new["report"]) if a != b
+    ]
 
 
 def main() -> None:

@@ -1,7 +1,9 @@
 """Case study, sweeps, and oracle machinery."""
 
 import dataclasses
+import itertools
 import math
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -30,12 +32,7 @@ from clfbl.derivatives import (
 )
 from clfbl.energy import Infeasible, feasible_domain
 from clfbl.fbl import LinkState, _channel
-import clfbl.experiments as experiments
-from clfbl.experiments import (
-    _successes,
-    config_digest,
-    record_at_noise,
-)
+from clfbl.experiments import MAX_TRIALS, config_digest, record_at_noise
 from clfbl.validation import (
     approximation_gap_suite,
     derivative_fidelity_suite,
@@ -326,23 +323,17 @@ class TestMonteCarlo:
         ]
 
 
-def _one_shot(rng, draws, p):
-    """The Monte Carlo draw as one array: the reference for `_successes`."""
-    return int((rng.random(draws) < p).sum())
-
-
 def _one_shot_loop(eps_ul, eps_dl, trials, seed):
-    """Loop successes of the one-shot Monte Carlo draw, and its generator."""
+    """Loop successes of the two binomial draws made by hand, and the
+    generator they leave: the reference for `monte_carlo_validate`."""
     rng = np.random.default_rng(seed)
-    ul_ok = rng.random(trials) < (1.0 - eps_ul)
-    n_ul_ok = int(ul_ok.sum())
-    loop_ok = int((rng.random(n_ul_ok) < (1.0 - eps_dl)).sum())
-    return loop_ok, rng
+    n_ul_ok = rng.binomial(trials, 1.0 - eps_ul)
+    return int(rng.binomial(n_ul_ok, 1.0 - eps_dl)), rng
 
 
 #: error rates at and next to both ends of [0, 1] where 1 - eps rounds
 EDGE_EPS = (0.0, 1e-300, 5e-17, 1.1e-16, 1e-12, 1e-3, 0.5, 1.0 - 2.0**-53, 1.0)
-#: draw counts around the 65,536-uniform block size
+#: coin counts from none through a few times 2**16
 EDGE_DRAWS = (0, 1, 65_535, 65_536, 65_537, 3 * 65_536 + 5)
 
 
@@ -360,37 +351,55 @@ def _spy_generators(monkeypatch):
 
 
 class TestMonteCarloStream:
-    """Counts and generator state equal those of the one-shot draw."""
+    """The seeded draws: the same counts as the two binomial draws made by
+    hand, the loop count's law, exact decided links, and a cost that does
+    not grow with the number of trials."""
 
     @pytest.mark.parametrize("draws", EDGE_DRAWS)
     @pytest.mark.parametrize("eps", EDGE_EPS)
-    def test_successes_match_one_shot(self, eps, draws):
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        assert _successes(rng, draws, 1.0 - eps) == _one_shot(ref, draws, 1.0 - eps)
-        assert rng.bit_generator.state == ref.bit_generator.state
+    def test_successes_match_one_shot(self, eps, draws, monkeypatch):
+        # `draws` coins at error rate eps, first on the uplink (the downlink
+        # sure), then on the downlink behind `draws` sure uplink successes;
+        # a decided uplink failure of the one trial leaves 0 downlink coins
+        made = _spy_generators(monkeypatch)
+        cases = [(eps, 0.0, draws), (0.0, eps, draws)] if draws else [(1.0, eps, 1)]
+        for eps_ul, eps_dl, trials in cases:
+            mc = monte_carlo_validate(eps_ul, eps_dl, trials, seed=11)
+            loop_ok, ref = _one_shot_loop(eps_ul, eps_dl, trials, 11)
+            assert mc.estimate == loop_ok / trials, (eps_ul, eps_dl)
+            assert made[-1].bit_generator.state == ref.bit_generator.state
+            p = 1.0 - eps
+            assert abs(loop_ok - draws * p) <= 6.0 * math.sqrt(draws * p * (1.0 - p))
+            assert 0 <= loop_ok <= draws
 
     @pytest.mark.parametrize("p", [float("nan"), -0.5, 1.5])
-    def test_successes_outside_unit_interval(self, p):
-        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-        assert _successes(rng, 70_000, p) == _one_shot(ref, 70_000, p)
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_uniform_equal_to_p_fails(self):
-        # a drawn uniform equal to p is not below it
-        p = float(np.random.default_rng(4).random(65_540)[65_538])
-        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-        assert _successes(rng, 65_540, p) == _one_shot(ref, 65_540, p)
+    def test_successes_outside_unit_interval(self, p, monkeypatch):
+        # a success probability outside [0, 1] is an error rate outside it,
+        # rejected on either link before any generator is made
+        made = _spy_generators(monkeypatch)
+        for pair in ((1.0 - p, 0.0), (0.0, 1.0 - p)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                monte_carlo_validate(*pair, 70_000, seed=2)
+        assert made == []
 
     @settings(deadline=None, max_examples=150, derandomize=True)
     @given(
-        p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        draws=st.integers(0, 200_000),
+        eps_ul=st.sampled_from(EDGE_EPS) | st.floats(0.0, 1.0),
+        eps_dl=st.sampled_from(EDGE_EPS) | st.floats(0.0, 1.0),
+        trials=st.integers(1, 200_000) | st.integers(1, MAX_TRIALS),
         seed=st.integers(0, 2**64 - 1),
     )
-    def test_successes_property(self, p, draws, seed):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert _successes(rng, draws, p) == _one_shot(ref, draws, p)
-        assert rng.bit_generator.state == ref.bit_generator.state
+    def test_successes_property(self, eps_ul, eps_dl, trials, seed):
+        mc = monte_carlo_validate(eps_ul, eps_dl, trials, seed)
+        loop_ok, _ = _one_shot_loop(eps_ul, eps_dl, trials, seed)
+        assert 0 <= loop_ok <= trials
+        assert mc.estimate == loop_ok / trials
+        assert 0.0 <= mc.ci_low <= mc.estimate <= mc.ci_high <= 1.0
+        assert mc.analytic_r_loop == (1.0 - eps_ul) * (1.0 - eps_dl)
+        if eps_ul == 1.0 or eps_dl == 1.0:
+            assert mc.estimate == 0.0
+        elif 1.0 - eps_ul == 1.0 and 1.0 - eps_dl == 1.0:
+            assert mc.estimate == 1.0
 
     @pytest.mark.parametrize("trials", EDGE_DRAWS[1:])
     def test_validate_matches_one_shot(self, trials, monkeypatch):
@@ -402,18 +411,79 @@ class TestMonteCarloStream:
                 assert mc.estimate == loop_ok / trials, (eps_ul, eps_dl)
                 assert made[-1].bit_generator.state == ref.bit_generator.state
 
-    def test_table1_sweep_at_full_trials(self, table1, monkeypatch):
-        # every field at 1e6 trials, which spans 16 blocks of uniforms
+    def test_table1_sweep_at_full_trials(self, table1):
+        # every level of the table1 sweep at 1e6 trials, seed 0, as
+        # `validate` runs it: the hand-made draws, and the analytic value
+        # inside the interval
         for record in sweep_noise(table1, 50, grid_points=2):
             eps = record.result.eps_ul, record.result.eps_dl
-            chunked = monte_carlo_validate(*eps, 10**6, seed=0)
-            with monkeypatch.context() as patch:
-                patch.setattr(experiments, "_successes", _one_shot)
-                one_shot = monte_carlo_validate(*eps, 10**6, seed=0)
-            assert chunked == one_shot, record.noise
+            mc = monte_carlo_validate(*eps, 10**6, seed=0)
+            loop_ok, _ = _one_shot_loop(*eps, 10**6, 0)
+            assert mc.estimate == loop_ok / 10**6, record.noise
+            assert mc.contains_analytic(), record.noise
+
+    @pytest.mark.parametrize("eps_ul, eps_dl, trials", [
+        (0.3, 0.2, 50), (6e-3, 4e-3, 10_000),
+    ])
+    def test_loop_count_is_binomial(self, eps_ul, eps_dl, trials):
+        # mean and variance of 2,000 seeded counts against Binomial(trials,
+        # (1-a)(1-b)), each within 5 standard errors of its sample statistic
+        seeds = 2_000
+        counts = np.array([
+            round(monte_carlo_validate(eps_ul, eps_dl, trials, seed).estimate * trials)
+            for seed in range(seeds)
+        ])
+        p = (1.0 - eps_ul) * (1.0 - eps_dl)
+        var = trials * p * (1.0 - p)
+        mu4 = var * (1.0 + 3.0 * (trials - 2) * p * (1.0 - p))
+        se_var = math.sqrt((mu4 - var * var * (seeds - 3) / (seeds - 1)) / seeds)
+        assert abs(counts.mean() - trials * p) <= 5.0 * math.sqrt(var / seeds)
+        assert abs(counts.var(ddof=1) - var) <= 5.0 * se_var
+
+    @pytest.mark.parametrize("trials", [1, 65_537, 10**6, MAX_TRIALS])
+    def test_decided_links_give_exact_estimates(self, trials):
+        sure = [eps for eps in EDGE_EPS if 1.0 - eps == 1.0]
+        assert sure == [0.0, 1e-300, 5e-17]
+        for eps_ul in sure:
+            for eps_dl in sure:
+                mc = monte_carlo_validate(eps_ul, eps_dl, trials, seed=9)
+                assert (mc.estimate, mc.ci_high) == (1.0, 1.0)
+        for eps in EDGE_EPS:
+            for pair in ((1.0, eps), (eps, 1.0)):
+                mc = monte_carlo_validate(*pair, trials, seed=9)
+                assert (mc.estimate, mc.ci_low) == (0.0, 0.0), pair
+
+    def test_ci_clipped_to_unit_interval(self):
+        # 1,000 trials at an error rate of 1e-3: the normal interval about
+        # an estimate of 0.999 reaches 1.0016, and about 0.001 reaches -0.0016
+        clipped = set()
+        for eps, seed in itertools.product((1e-3, 1.0 - 1e-3), range(20)):
+            mc = monte_carlo_validate(eps, 0.0, 1_000, seed)
+            assert 0.0 <= mc.ci_low <= mc.estimate <= mc.ci_high <= 1.0
+            if 0.0 < mc.estimate < 1.0:
+                clipped.add(mc.ci_high if eps < 0.5 else mc.ci_low)
+        assert clipped >= {0.0, 1.0}
+
+    def test_max_trials_return_at_once(self, table1):
+        # a loop over draws would take centuries here; two binomial draws
+        # take microseconds
+        result = solve(table1)
+        start = time.perf_counter()
+        mc = monte_carlo_validate(result.eps_ul, result.eps_dl, MAX_TRIALS, seed=0)
+        assert time.perf_counter() - start < 1.0
+        assert mc.contains_analytic()
+        assert 0.0 < mc.ci_high - mc.ci_low < 1e-11
+
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**20])
+    def test_rejects_trials_beyond_int64(self, trials, monkeypatch):
+        made = _spy_generators(monkeypatch)
+        with pytest.raises(ValueError, match=r"trials must be <= 2\*\*63 - 1"):
+            monte_carlo_validate(0.1, 0.1, trials, seed=0)
+        assert made == []
 
     def test_memory_flat_in_trials(self, table1):
-        # the one-shot draw peaks at 38 MiB here, in arrays of 4e6 doubles and masks
+        # a one-shot draw of 4e6 uniforms peaks at 38 MiB here, in arrays of
+        # doubles and masks; the two binomial draws allocate no array at all
         result = solve(table1)
         tracemalloc.start()
         try:

@@ -384,11 +384,12 @@ class TestExitCodeContract:
         (["validate", "table1", "--trials", "0"], "trials must be >= 1"),
         (["validate", "table1", "--grid-points", "0"], "grid_points must be >= 1"),
         (["validate", "table1", "--seed", "-1", "--trials", "10"], "seed must be >= 0"),
+        (["validate", "table1", "--trials", str(10**20)], "trials must be <= 2**63 - 1"),
     ])
     def test_zero_count_is_usage_error(self, argv, message, tmp_path, monkeypatch,
                                        capsys):
-        # a given 0 or -1 reaches the range checks, which reject it before
-        # anything is written
+        # a given 0, -1 or trial count beyond int64 reaches the range
+        # checks, which reject it before anything is written
         monkeypatch.chdir(tmp_path)
         assert main(argv) == EXIT_USAGE
         assert message in capsys.readouterr().err
@@ -399,6 +400,7 @@ class TestExitCodeContract:
         (["--trials", "0"], "trials must be >= 1"),
         (["--grid-points", "0"], "grid_points must be >= 1"),
         (["--seed", "-1"], "seed must be >= 0"),
+        (["--trials", str(2**63)], "trials must be <= 2**63 - 1"),
     ])
     def test_bad_count_on_empty_domain_is_usage_error(self, options, message,
                                                       tmp_path, capsys):
